@@ -64,7 +64,8 @@ def cmd_jones(n, k, variable, fmt):
 @cli.command("verify")
 @click.option("--n", "n_range", default="-6..8", help="n sweep as 'a..b'.")
 @click.option("--k", "k_range", default="0..5", help="k sweep as 'a..b'.")
-def cmd_verify(n_range, k_range):
+@format_option
+def cmd_verify(n_range, k_range, fmt):
     """Cross-check the closed form against the bracket recursion."""
     ns = _parse_range(n_range)
     ks = _parse_range(k_range)
@@ -73,12 +74,20 @@ def cmd_verify(n_range, k_range):
     results = bracket.verify_range(ns.start, ns.stop - 1, ks.start, ks.stop - 1)
     bad = [(n, k) for n, k, ok in sorted(results, key=lambda r: (r[1], r[0])) if not ok]
     total = len(results)
-    if bad:
+    if fmt == "json":
+        click.echo(json.dumps({
+            "total": total,
+            "ok": total - len(bad),
+            "mismatches": [{"n": n, "k": k} for n, k in bad],
+        }))
+    elif bad:
         for n, k in bad:
             click.echo(f"MISMATCH n={n} k={k}")
         click.echo(f"FAIL {total - len(bad)}/{total}")
+    else:
+        click.echo(f"OK {total}/{total}")
+    if bad:
         return 2
-    click.echo(f"OK {total}/{total}")
 
 
 @cli.command("classify")

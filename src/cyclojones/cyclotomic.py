@@ -17,7 +17,7 @@ import numpy as np
 from sympy import divisors, factorint
 
 from .errors import InexactDivisionError, InternalInconsistencyError, NumericError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _dense
 
 
 @lru_cache(maxsize=None)
@@ -31,39 +31,15 @@ def euler_totient(n: int) -> int:
     return out
 
 
-def _compose_power(coeffs: list[int], e: int) -> list[int]:
-    """Dense coefficients of P(x^e)."""
-    out = [0] * ((len(coeffs) - 1) * e + 1)
-    for i, c in enumerate(coeffs):
-        out[i * e] = c
-    return out
-
-
-def _divide_dense(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of dense coefficient lists; den is monic."""
-    num = list(num)
-    dd = len(den) - 1
-    qd = len(num) - 1 - dd
-    quot = [0] * (qd + 1)
-    for i in range(qd, -1, -1):
-        c = num[i + dd]
-        quot[i] = c
-        if c:
-            for jj in range(dd + 1):
-                num[i + jj] -= c * den[jj]
-    if any(num):
-        raise InexactDivisionError("cyclotomic division left a remainder")
-    return quot
-
-
 @lru_cache(maxsize=None)
 def phi(n: int) -> LaurentPoly:
     """The n-th cyclotomic polynomial, exact, degree phi(n).
 
     Squarefree n is built one prime at a time through
     Phi_{mp}(x) = Phi_m(x^p)/Phi_m(x); non-squarefree n reduces to its
-    radical via Phi_n(x) = Phi_rad(n)(x^(n/rad(n))).  Both steps are exact
-    divisions, so coefficients never leave the integers.
+    radical via Phi_n(x) = Phi_rad(n)(x^(n/rad(n))).  The first step is
+    LaurentPoly.divide_exact, the package's one long division, so
+    coefficients never leave the integers.
     """
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
@@ -73,10 +49,10 @@ def phi(n: int) -> LaurentPoly:
     radical = math.prod(primes)
     if radical != n:
         return phi(radical).substitute_power(n // radical)
-    coeffs = [-1, 1]  # Phi_1 = x - 1
+    out = phi(1)
     for p in primes:
-        coeffs = _divide_dense(_compose_power(coeffs, p), coeffs)
-    return LaurentPoly({e: c for e, c in enumerate(coeffs) if c})
+        out = out.substitute_power(p).divide_exact(out)
+    return out
 
 
 def phi_sym(n: int) -> LaurentPoly:
@@ -175,10 +151,9 @@ def mahler_measure(p: LaurentPoly) -> float:
     """|lead| * prod max(1, |root|) over the complex roots, numerically."""
     if not p:
         raise ValueError("Mahler measure of the zero polynomial is undefined")
-    lo, hi = p.min_exp, p.max_exp
-    if lo == hi:
-        return float(abs(p.coeff(lo)))
-    coeffs = [p.coeff(e) for e in range(hi, lo - 1, -1)]  # descending for np.roots
+    coeffs = _dense(p)[1][::-1]  # descending for np.roots
+    if len(coeffs) == 1:
+        return float(abs(coeffs[0]))
     try:
         roots = np.roots(coeffs)
     except np.linalg.LinAlgError as exc:

@@ -8,6 +8,10 @@ arbitrary-precision integer coefficients, plus a variable tag ("t" or
 A-world values cannot be combined silently.
 
 Values are immutable; every operation returns a fresh polynomial.
+
+The module holds the package's one long division, `_long_division` on
+dense coefficient lists (`_dense` converts).  It serves exact division,
+the construction of cyclotomic polynomials and reduction modulo them.
 """
 
 from __future__ import annotations
@@ -206,29 +210,13 @@ class LaurentPoly:
         if not self:
             return LaurentPoly.zero(self._variable)
         # strip monomial factors so both sides are ordinary polynomials
-        a, b = self.min_exp, other.min_exp
-        rem = {e - a: c for e, c in self._terms.items()}
-        div = [(e - b, c) for e, c in sorted(other._terms.items(), reverse=True)]
-        dlead_e, dlead_c = div[0]
-        quot: dict[int, int] = {}
-        while rem:
-            m = max(rem)
-            if m < dlead_e:
-                raise InexactDivisionError("division left a remainder")
-            c, r = divmod(rem[m], dlead_c)
-            if r:
-                raise InexactDivisionError("leading coefficient does not divide")
-            qe = m - dlead_e
-            quot[qe] = c
-            for e2, c2 in div:
-                e = qe + e2
-                v = rem.get(e, 0) - c * c2
-                if v:
-                    rem[e] = v
-                elif e in rem:
-                    del rem[e]
+        a, num = _dense(self)
+        b, den = _dense(other)
+        quot, rem = _long_division(num, den)
+        if any(rem):
+            raise InexactDivisionError("division left a remainder")
         out = LaurentPoly.zero(self._variable)
-        out._terms = {e + a - b: c for e, c in quot.items()}
+        out._terms = {e + a - b: c for e, c in enumerate(quot) if c}
         return out
 
     # -- symmetry predicates -----------------------------------------------
@@ -314,17 +302,10 @@ class ResidueElement:
     @classmethod
     def from_coeffs(cls, order: int, coeffs: Iterable[int]) -> "ResidueElement":
         """Reduce an arbitrary coefficient list modulo Phi_order."""
-        modulus = _phi_dense(order)
-        deg = len(modulus) - 1
-        work = list(coeffs)
-        for i in range(len(work) - 1, deg - 1, -1):
-            c = work[i]
-            if c:
-                work[i] = 0
-                for jj in range(deg):
-                    work[i - deg + jj] -= c * modulus[jj]
-        work = work[:deg] + [0] * (deg - len(work))
-        return cls(order, tuple(work[:deg]))
+        from .cyclotomic import euler_totient, phi
+
+        rem = _long_division(coeffs, _dense(phi(order))[1])[1]
+        return cls(order, tuple(rem) + (0,) * (euler_totient(order) - len(rem)))
 
     @classmethod
     def from_int(cls, order: int, value: int) -> "ResidueElement":
@@ -399,16 +380,39 @@ class ResidueElement:
         return out
 
 
-def _phi_dense(order: int) -> list[int]:
-    """Dense ascending coefficients of the order-th cyclotomic polynomial."""
-    from .cyclotomic import phi
+def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
+    """(lowest exponent, ascending coefficients) of a nonzero polynomial."""
+    lo = p.min_exp
+    out = [0] * (p.max_exp - lo + 1)
+    for e, c in p._terms.items():
+        out[e - lo] = c
+    return lo, out
 
-    p = phi(order)
-    deg = p.max_exp
-    out = [0] * (deg + 1)
-    for e, c in p.items():
-        out[e] = c
-    return out
+
+def _long_division(num: Iterable[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of ascending coefficient lists over the integers.
+
+    den must have a nonzero last (leading) coefficient.  Only its nonzero
+    terms are visited, so sparse divisors such as x^2 - 1 stay cheap.  A
+    leading coefficient of the running remainder that den's leading
+    coefficient does not divide raises InexactDivisionError, since no
+    integer quotient can exist then.
+    """
+    dd = len(den) - 1
+    lead = den[dd]
+    tail = [(j, c) for j, c in enumerate(den[:dd]) if c]
+    rem = list(num)
+    quot = [0] * max(len(rem) - dd, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + dd]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                raise InexactDivisionError("leading coefficient does not divide")
+            quot[i] = q
+            for j, cj in tail:
+                rem[i + j] -= q * cj
+    return quot, rem[:dd]
 
 
 # -- text and JSON forms ---------------------------------------------------

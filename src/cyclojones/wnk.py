@@ -21,6 +21,9 @@ from .laurent import LaurentPoly, poly_to_json
 
 T2_MINUS_1 = LaurentPoly({2: 1, 0: -1})
 
+# Largest Phi^sym_{2N} (N = 2^p - 1 terms) that mersenne_knot will build.
+MERSENNE_MAX_TERMS = 2**20
+
 
 class FamilyParams(NamedTuple):
     n: int
@@ -216,10 +219,16 @@ def mersenne_knot(p: int) -> MersenneWitness:
     """Knots whose Jones polynomial is Phi^sym_{2N} for Mersenne prime N = 2^p - 1.
 
     Works because N = 2*(2^((p-1)/2))^2 - 1 = g(k+1) with
-    k = 2^((p-1)/2) - 1, putting N in the image of g.
+    k = 2^((p-1)/2) - 1, putting N in the image of g.  V has N terms, so p
+    is rejected before anything is built when N exceeds MERSENNE_MAX_TERMS.
     """
     if p <= 2 or p % 2 == 0:
         raise ValueError("p must be an odd prime exponent > 2")
+    if p >= (MERSENNE_MAX_TERMS + 1).bit_length():  # 2^p - 1 > the budget
+        raise ValueError(
+            f"p={p}: V would have 2^{p} - 1 terms, over the budget of "
+            f"{MERSENNE_MAX_TERMS} terms"
+        )
     order = 2**p - 1
     if not isprime(order):
         raise ValueError(f"2^{p} - 1 = {order} is not prime")

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import cyclojones.bracket
+import cyclojones.wnk
 from cyclojones.cli import main
 from cyclojones.cyclotomic import phi_sym
 from cyclojones.laurent import parse_poly, poly_from_json
@@ -56,7 +57,13 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--n", "-3..3", "--k", "0..2")
         assert code == 0 and out.strip() == "OK 21/21"
 
-    def test_injected_fault_exits_2(self, capsys, monkeypatch):
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "-2..2", "--k", "0..1", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"total": 10, "ok": 10, "mismatches": []}
+
+    @staticmethod
+    def _flip_one_cell(monkeypatch):
         true_jones = cyclojones.bracket.jones_wnk
 
         def flipped(n, k):
@@ -66,9 +73,18 @@ class TestVerifyCommand:
             return v
 
         monkeypatch.setattr(cyclojones.bracket, "jones_wnk", flipped)
+
+    def test_injected_fault_exits_2(self, capsys, monkeypatch):
+        self._flip_one_cell(monkeypatch)
         code, out, _ = run(capsys, "verify", "--n", "0..2", "--k", "0..1")
         assert code == 2
         assert "MISMATCH n=1 k=1" in out
+
+    def test_injected_fault_json_exits_2(self, capsys, monkeypatch):
+        self._flip_one_cell(monkeypatch)
+        code, out, _ = run(capsys, "verify", "--n", "0..2", "--k", "0..1", "--format", "json")
+        assert code == 2
+        assert json.loads(out) == {"total": 6, "ok": 5, "mismatches": [{"n": 1, "k": 1}]}
 
     def test_bad_range_exits_1(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "bogus")
@@ -163,6 +179,15 @@ class TestMersenneCommand:
     def test_composite_exits_1(self, capsys):
         code, _, err = run(capsys, "mersenne", "-p", "11")
         assert code == 1
+
+    def test_over_budget_exits_1(self, capsys, monkeypatch):
+        def refuse(n, k):
+            raise AssertionError(f"jones_wnk({n}, {k}) was called")
+
+        monkeypatch.setattr(cyclojones.wnk, "jones_wnk", refuse)
+        code, out, err = run(capsys, "mersenne", "-p", "31")
+        assert code == 1 and not out
+        assert "2^31 - 1 terms" in err and "budget" in err
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "mersenne", "-p", "3", "--format", "json")

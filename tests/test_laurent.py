@@ -1,11 +1,13 @@
 import cmath
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from cyclojones.errors import InexactDivisionError, ParseError, TagError
 from cyclojones.laurent import (
     LaurentPoly,
+    ResidueElement,
     parse_poly,
     poly_from_json,
     poly_to_json,
@@ -92,9 +94,26 @@ class TestDivideExact:
         with pytest.raises(ZeroDivisionError):
             P("t").divide_exact(LaurentPoly.zero())
 
+    def test_non_dividing_lead_raises(self):
+        # over Q the quotient would be (t - 1)/2 with remainder 2
+        with pytest.raises(InexactDivisionError):
+            P("t^2 + 1").divide_exact(P("2t + 2"))
+
+    def test_non_monic_exact(self):
+        assert P("2t^2 - 2").divide_exact(P("2t + 2")) == P("t - 1")
+        assert P("1 - t^4").divide_exact(P("1 - t^2")) == P("1 + t^2")
+
     @given(small_polys, nonzero_polys)
     def test_product_division_roundtrip(self, p, q):
         assert (p * q).divide_exact(q) == p
+
+    @given(small_polys, nonzero_polys)
+    def test_division_is_exact_or_raises(self, p, q):
+        try:
+            r = p.divide_exact(q)
+        except InexactDivisionError:
+            return
+        assert r * q == p
 
 
 class TestSymmetryPredicates:
@@ -169,6 +188,15 @@ class TestResidueEvaluation:
         numeric = p.evaluate_complex(order)
         embedded = p.evaluate_residue(order).to_complex()
         assert abs(numeric - embedded) < 1e-9
+
+    @given(st.lists(st.integers(-50, 50), max_size=60), st.integers(2, 40))
+    def test_from_coeffs_matches_sympy_rem(self, coeffs, order):
+        x = sympy.Symbol("x")
+        dividend = sympy.Poly(list(reversed(coeffs)) or [0], x, domain="ZZ")
+        rem = dividend.rem(sympy.Poly(sympy.cyclotomic_poly(order, x), x, domain="ZZ"))
+        expected = [int(c) for c in reversed(rem.all_coeffs())]
+        expected += [0] * (sympy.totient(order) - len(expected))
+        assert ResidueElement.from_coeffs(order, coeffs).coeffs == tuple(expected)
 
 
 class TestComplexEvaluation:

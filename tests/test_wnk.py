@@ -1,5 +1,6 @@
 import pytest
 
+import cyclojones.wnk
 from cyclojones.cyclotomic import is_cyclotomic_product, phi_sym, phi_tilde
 from cyclojones.laurent import LaurentPoly, parse_poly
 from cyclojones.wnk import (
@@ -211,3 +212,23 @@ class TestMersenne:
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
             mersenne_knot(11)  # 2047 = 23 * 89
+
+    def test_over_budget_rejected_before_building(self, monkeypatch):
+        def refuse(n, k):
+            raise AssertionError(f"jones_wnk({n}, {k}) was called")
+
+        monkeypatch.setattr(cyclojones.wnk, "jones_wnk", refuse)
+        with pytest.raises(ValueError, match="budget"):
+            mersenne_knot(31)  # 2^31 - 1 terms
+
+    @pytest.mark.parametrize("p", [17, 19])
+    def test_within_budget_reaches_the_build(self, monkeypatch, p):
+        class Reached(Exception):
+            pass
+
+        def reached(n, k):
+            raise Reached
+
+        monkeypatch.setattr(cyclojones.wnk, "jones_wnk", reached)
+        with pytest.raises(Reached):
+            mersenne_knot(p)
