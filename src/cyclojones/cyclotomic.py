@@ -112,12 +112,16 @@ class CyclotomicFactorization:
 def is_cyclotomic_product(p: LaurentPoly) -> Optional[CyclotomicFactorization]:
     """Factor P as sign * x^a * prod Phi_d^mult, or return None.
 
-    Trial-divides by Phi_d for ascending d while phi(d) fits in the
-    remaining degree; d is capped at 2*deg^2, which is safe because
-    phi(d) >= sqrt(d/2).
+    Phi_1 is antipalindromic and every other Phi_d palindromic, so a
+    cyclotomic product is one or the other; P that is neither is rejected
+    before any division.  Otherwise trial-divides by Phi_d for ascending d
+    while phi(d) fits in the remaining degree; d is capped at 2*deg^2,
+    which is safe because phi(d) >= sqrt(d/2).
     """
     if not p:
         raise ValueError("the zero polynomial is not a cyclotomic product")
+    if p.palindromic_shift() is None and p.antipalindromic_shift() is None:
+        return None
     shift = p.min_exp
     rem = p.shift(-shift)
     sign = rem.coeff(rem.max_exp)

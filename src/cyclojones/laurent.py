@@ -92,6 +92,9 @@ class LaurentPoly:
         return self._variable == other._variable and self._terms == other._terms
 
     def __hash__(self) -> int:
+        # constants equal their int, so they must hash like it
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash((self._variable, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
@@ -285,7 +288,7 @@ class LaurentPoly:
 
 
 class ResidueElement:
-    """Element of Z[x]/(Phi_N), stored as a residue of degree < phi(N)."""
+    """Exact value at a primitive N-th root of unity: a residue modulo Phi_N of degree < phi(N)."""
 
     __slots__ = ("order", "coeffs")
 
@@ -307,13 +310,7 @@ class ResidueElement:
         rem = _long_division(coeffs, _dense(phi(order))[1])[1]
         return cls(order, tuple(rem) + (0,) * (euler_totient(order) - len(rem)))
 
-    @classmethod
-    def from_int(cls, order: int, value: int) -> "ResidueElement":
-        return cls.from_coeffs(order, [value])
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = ResidueElement.from_int(self.order, other)
         if not isinstance(other, ResidueElement):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
@@ -323,44 +320,6 @@ class ResidueElement:
 
     def __repr__(self) -> str:
         return f"ResidueElement(order={self.order}, coeffs={self.coeffs})"
-
-    def _check(self, other: "ResidueElement") -> None:
-        if self.order != other.order:
-            raise ValueError("residues live in different rings")
-
-    def __add__(self, other: "ResidueElement") -> "ResidueElement":
-        self._check(other)
-        return ResidueElement(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "ResidueElement":
-        return ResidueElement(self.order, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other: "ResidueElement") -> "ResidueElement":
-        return self + (-other)
-
-    def __mul__(self, other: "ResidueElement") -> "ResidueElement":
-        self._check(other)
-        n = len(self.coeffs)
-        conv = [0] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for jj, b in enumerate(other.coeffs):
-                    conv[i + jj] += a * b
-        return ResidueElement.from_coeffs(self.order, conv)
-
-    def __pow__(self, n: int) -> "ResidueElement":
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        out = ResidueElement.from_int(self.order, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def constant_value(self) -> Optional[int]:
         """The residue as an integer if it is constant, else None."""

@@ -2,19 +2,19 @@
 
 A knot Jones polynomial V satisfies V(1) = 1, V'(1) = 0, V(zeta_3) = 1,
 V(i) = +-1 and V(zeta_6) = +-(i*sqrt(3))^s.  All checks here are exact:
-they run in the residue rings Z[x]/(Phi_N), with i*sqrt(3) realized as
-2*zeta_6 - 1.
+they read the residues of V modulo Phi_N.  The value at zeta_6 is
+a + b*zeta_6, and since i*sqrt(3) = 2*zeta_6 - 1 squares to -3, the
+exponent s follows in closed form from a and b.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
-from sympy import factorint
+from sympy import factorint, integer_log
 
-from .laurent import LaurentPoly, ResidueElement
+from .laurent import LaurentPoly
 from .wnk import f, g
 
 
@@ -57,19 +57,15 @@ def special_value_check(p: LaurentPoly) -> SpecialValueReport:
     if at_i not in (1, -1):
         at_i = None
 
-    # V(zeta_6) must be +-(i*sqrt(3))^s; since |V(zeta_6)| <= sum |coeffs|
-    # and |i*sqrt(3)|^s = 3^(s/2), the exponent search is bounded.
-    coeff_sum = sum(abs(c) for _, c in p.items())
-    s_max = math.ceil(2 * math.log(coeff_sum) / math.log(3)) if coeff_sum > 1 else 0
-    r6 = p.evaluate_residue(6)
-    i_sqrt3 = ResidueElement.from_coeffs(6, [-1, 2])  # 2*zeta_6 - 1
+    # V(zeta_6) = a + b*zeta_6 must be +-(i*sqrt(3))^s.  As
+    # (i*sqrt(3))^2 = -3, s = 2j means a = +-3^j, b = 0, and s = 2j + 1
+    # means +-3^j * (2*zeta_6 - 1), that is a = -+3^j, b = -2a.
+    a, b = p.evaluate_residue(6).coeffs
     zeta6_exp = None
-    power = ResidueElement.from_int(6, 1)
-    for s in range(s_max + 1):
-        if r6 == power or r6 == -power:
-            zeta6_exp = s
-            break
-        power = power * i_sqrt3
+    if a and b in (0, -2 * a):
+        j, exact = integer_log(abs(a), 3)
+        if exact:
+            zeta6_exp = 2 * j + (b != 0)
     return SpecialValueReport(at_one, deriv, zeta3_ok, at_i, zeta6_exp)
 
 

@@ -1,6 +1,7 @@
 import pytest
 from sympy import divisors
 
+import cyclojones.cyclotomic
 from cyclojones.cyclotomic import (
     euler_totient,
     is_cyclotomic_product,
@@ -11,6 +12,7 @@ from cyclojones.cyclotomic import (
     phitilde_root_exponents,
 )
 from cyclojones.laurent import LaurentPoly, parse_poly
+from cyclojones.wnk import jones_wnk
 
 
 def t_power_minus_one(n):
@@ -111,6 +113,16 @@ class TestIsCyclotomicProduct:
 
     def test_non_cyclotomic(self):
         assert is_cyclotomic_product(parse_poly("t^2 - 2")) is None
+
+    def test_non_palindromic_rejected_before_division(self, monkeypatch):
+        inputs = [jones_wnk(8, 5), parse_poly("t^-3 + 2t - t^5")]
+
+        def refuse(d):
+            raise AssertionError(f"phi({d}) was built")
+
+        monkeypatch.setattr(cyclojones.cyclotomic, "phi", refuse)
+        for p in inputs:
+            assert is_cyclotomic_product(p) is None
 
     def test_negated_shifted_square(self):
         p = (phi(4) * phi(4) * phi(3)).scale(-1, -7)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from cyclojones.errors import InexactDivisionError, ParseError, TagError
 from cyclojones.laurent import (
+    VARIABLES,
     LaurentPoly,
     ResidueElement,
     parse_poly,
@@ -59,6 +60,26 @@ class TestRingOps:
     @given(small_polys)
     def test_additive_inverse(self, a):
         assert a + (-a) == LaurentPoly.zero()
+
+
+class TestHash:
+    def test_constants_hash_like_ints(self):
+        assert hash(LaurentPoly.one("A")) == hash(1)
+        assert hash(LaurentPoly.zero()) == hash(0)
+        assert {1: "x"}.get(LaurentPoly.one()) == "x"
+        assert len({LaurentPoly.one(), 1}) == 1
+
+    # a tiny domain, so that equal pairs are drawn often
+    tiny_polys = st.builds(
+        LaurentPoly,
+        st.dictionaries(st.integers(-1, 1), st.integers(-1, 1), max_size=2),
+        st.sampled_from(VARIABLES),
+    )
+
+    @given(tiny_polys, st.one_of(tiny_polys, st.integers(-1, 1)))
+    def test_equal_implies_equal_hash(self, p, q):
+        if p == q:
+            assert hash(p) == hash(q)
 
 
 class TestSubstitutePower:

@@ -34,6 +34,19 @@ class TestSpecialValueCheck:
         assert report.at_zeta6_exponent is None
         assert not report.passes_all
 
+    def test_zeta6_exponent_closed_form(self):
+        # 2t - 1 takes the value i*sqrt(3) at zeta_6, and t^6 the value 1
+        base = LaurentPoly({1: 2, 0: -1})
+        power = LaurentPoly.one()
+        for s in range(25):
+            for j in (-1, 0, 2):
+                for sign in (1, -1):
+                    v = power.scale(sign, 6 * j)
+                    assert special_value_check(v).at_zeta6_exponent == s, (s, j, sign)
+            assert special_value_check(power.scale(2)).at_zeta6_exponent is None
+            power = power * base
+        assert special_value_check(LaurentPoly({1: 3, 0: -1})).at_zeta6_exponent is None
+
     def test_shifted_poly_fails_derivative(self):
         report = special_value_check(LaurentPoly({3: 1}))
         assert report.at_one == 1 and report.derivative_at_one == 3

@@ -1,0 +1,36 @@
+"""Properties of every member W(n,k) over a window of the whole domain.
+
+n < 0 and k = 0 are drawn like any other cell.  The bracket recursion is
+the costly side, so its property runs fewer examples.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from cyclojones.bracket import bracket_to_jones, bracket_wnk, jones_to_bracket
+from cyclojones.laurent import parse_poly, poly_from_json, poly_to_json, print_poly
+from cyclojones.obstructions import special_value_check
+from cyclojones.wnk import jones_wnk
+
+members = st.tuples(st.integers(-12, 12), st.integers(0, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(members)
+def test_closed_form_matches_bracket_recursion(member):
+    n, k = member
+    v = jones_wnk(n, k)
+    bracket = bracket_wnk(n, k)
+    assert bracket_to_jones(n, k, bracket) == v
+    assert jones_to_bracket(n, k, v) == bracket
+
+
+@given(members)
+def test_passes_special_values(member):
+    assert special_value_check(jones_wnk(*member)).passes_all
+
+
+@given(members)
+def test_text_and_json_round_trips(member):
+    v = jones_wnk(*member)
+    assert parse_poly(print_poly(v)) == v
+    assert poly_from_json(poly_to_json(v)) == v
