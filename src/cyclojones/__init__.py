@@ -5,7 +5,7 @@ polynomial machinery, symmetry classification, and root-of-unity
 obstructions, all over exact integer Laurent polynomials.
 """
 
-from .laurent import LaurentPoly, ResidueElement, parse_poly, print_poly
+from .laurent import LaurentPoly, parse_poly, print_poly
 from .cyclotomic import (
     CyclotomicFactorization,
     euler_totient,
@@ -15,6 +15,7 @@ from .cyclotomic import (
     phi_sym,
     phi_tilde,
     phitilde_root_exponents,
+    residue,
 )
 from .wnk import (
     Family,
@@ -55,7 +56,6 @@ __all__ = [
     "Family",
     "FamilyParams",
     "LaurentPoly",
-    "ResidueElement",
     "SpecialValueReport",
     "SymmetryClass",
     "bracket_to_jones",
@@ -83,6 +83,7 @@ __all__ = [
     "phitilde_root_exponents",
     "print_poly",
     "realized_orders",
+    "residue",
     "special_value_check",
     "torus_jones",
     "verify_range",

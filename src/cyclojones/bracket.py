@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConversionError, WindowError
 from .laurent import LaurentPoly
-from .wnk import jones_wnk
+from .wnk import jones_wnk, writhe_wnk
 
 _A_KINK = LaurentPoly({-1: 1, 3: -1}, "A")  # A^-1 - A^3
 
@@ -42,13 +42,11 @@ def bracket_wnk_base(n: int) -> LaurentPoly:
     """<W(n,0)>: an oval with n arrows, i.e. the torus knot T(n', n'+1).
 
     n' is n for n >= 0 and -1-n for n < 0; the bracket is the torus Jones
-    polynomial pushed to A-world with the writhe n^2 + n.
+    polynomial pushed to A-world with the writhe of W(n,0).
     """
     n_eff = n if n >= 0 else -1 - n
     v = LaurentPoly.one() if n_eff == 0 else torus_jones(n_eff, n_eff + 1)
-    w = n * n + n
-    sign = -1 if (3 * w) % 2 else 1
-    return v.substitute_power(-4, "A").scale(sign, 3 * w)
+    return jones_to_bracket(n, 0, v)
 
 
 @dataclass(frozen=True)
@@ -127,17 +125,15 @@ def bracket_wnk(n: int, k: int) -> LaurentPoly:
     return bracket_levels(abs(n), k)[k].bracket(n)
 
 
-def _conversion_exponent(n: int, k: int) -> int:
-    # <W(n,k)> = (-1)^k A^e V_{W(n,k)} with e = 3(n+1)n + 3k(2k+1-2n)
-    return 3 * (n + 1) * n + 3 * k * (2 * k + 1 - 2 * n)
-
-
 def bracket_to_jones(n: int, k: int, bracket: LaurentPoly) -> LaurentPoly:
-    """Normalize a bracket of W(n,k) by its writhe and substitute t = A^-4."""
+    """Normalize a bracket of W(n,k) by its writhe and substitute t = A^-4.
+
+    <W(n,k)> = (-1)^k A^(3w) V_{W(n,k)}, w the writhe of W(n,k).
+    """
     if bracket.variable != "A":
         raise ConversionError("bracket must be an A-polynomial")
     sign = -1 if k % 2 else 1
-    shifted = bracket.scale(sign, -_conversion_exponent(n, k))
+    shifted = bracket.scale(sign, -3 * writhe_wnk(n, k))
     terms = {}
     for e, c in shifted.items():
         if e % 4:
@@ -153,7 +149,7 @@ def jones_to_bracket(n: int, k: int, v: LaurentPoly) -> LaurentPoly:
     if v.variable != "t":
         raise ConversionError("Jones polynomial must be a t-polynomial")
     sign = -1 if k % 2 else 1
-    return v.substitute_power(-4, "A").scale(sign, _conversion_exponent(n, k))
+    return v.substitute_power(-4, "A").scale(sign, 3 * writhe_wnk(n, k))
 
 
 def verify_range(
@@ -165,8 +161,12 @@ def verify_range(
     (k, n).  Every entry should be True: disagreement means a bug, not a
     property of the knot.
     """
-    if n_lo > n_hi or k_lo > k_hi or k_lo < 0:
-        raise ValueError("invalid sweep ranges")
+    if n_lo > n_hi:
+        raise ValueError(f"empty n range: n_lo={n_lo} > n_hi={n_hi}")
+    if k_lo > k_hi:
+        raise ValueError(f"empty k range: k_lo={k_lo} > k_hi={k_hi}")
+    if k_lo < 0:
+        raise ValueError(f"k_lo={k_lo} is negative; k must be >= 0")
     n_abs_max = max(abs(n_lo), abs(n_hi))
     levels = bracket_levels(n_abs_max, k_hi)
     results = []

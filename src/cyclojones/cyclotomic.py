@@ -1,9 +1,10 @@
 """Cyclotomic polynomials and cyclotomic-product detection.
 
 Builds Phi_n, its symmetric recentering Phi^sym_n and the alternating
-products Phi~_{2m} (m odd), detects Laurent polynomials that are a
-monomial times a product of cyclotomic polynomials, and computes the
-Mahler measure numerically.
+products Phi~_{2m} (m odd), reduces Laurent polynomials modulo Phi_n
+(their exact values at primitive n-th roots of unity), detects Laurent
+polynomials that are a monomial times a product of cyclotomic
+polynomials, and computes the Mahler measure numerically.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from sympy import divisors, factorint
 
 from .errors import InexactDivisionError, InternalInconsistencyError, NumericError
-from .laurent import LaurentPoly, _dense
+from .laurent import LaurentPoly, _dense, _fold, _long_division
 
 
 @lru_cache(maxsize=None)
@@ -53,6 +54,16 @@ def phi(n: int) -> LaurentPoly:
     for p in primes:
         out = out.substitute_power(p).divide_exact(out)
     return out
+
+
+def residue(p: LaurentPoly, n: int) -> tuple[int, ...]:
+    """P modulo Phi_n: its exact value at a primitive n-th root of unity.
+
+    Ascending coefficients, of length phi(n).  P is first folded modulo
+    x^n - 1, which Phi_n divides, so negative exponents need no care.
+    """
+    den = _dense(phi(n))[1]
+    return tuple(_long_division(_fold(p, n), den)[1])
 
 
 def phi_sym(n: int) -> LaurentPoly:

@@ -10,8 +10,9 @@ A-world values cannot be combined silently.
 Values are immutable; every operation returns a fresh polynomial.
 
 The module holds the package's one long division, `_long_division` on
-dense coefficient lists (`_dense` converts).  It serves exact division,
-the construction of cyclotomic polynomials and reduction modulo them.
+dense coefficient lists (`_dense` converts; `_fold` reduces modulo
+x^n - 1).  It serves exact division here and, in the cyclotomic module,
+the construction of Phi_n and the exact values modulo Phi_n.
 """
 
 from __future__ import annotations
@@ -272,72 +273,6 @@ class LaurentPoly:
         roots = [cmath.exp(2j * cmath.pi * r / order) for r in range(order)]
         return sum((c * roots[(e * j) % order] for e, c in self._terms.items()), 0j)
 
-    def evaluate_residue(self, order: int) -> "ResidueElement":
-        """Exact value at a primitive order-th root of unity.
-
-        Returns the residue of P modulo the order-th cyclotomic polynomial;
-        negative exponents are resolved via x^-1 == x^(order-1), valid
-        because the cyclotomic polynomial divides x^order - 1.
-        """
-        if order < 2:
-            raise ValueError("order must be >= 2")
-        folded = [0] * order
-        for e, c in self._terms.items():
-            folded[e % order] += c
-        return ResidueElement.from_coeffs(order, folded)
-
-
-class ResidueElement:
-    """Exact value at a primitive N-th root of unity: a residue modulo Phi_N of degree < phi(N)."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: tuple[int, ...]):
-        from .cyclotomic import euler_totient
-
-        if order < 2:
-            raise ValueError("order must be >= 2")
-        if len(coeffs) != euler_totient(order):
-            raise ValueError("coefficient vector must have length phi(order)")
-        self.order = order
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def from_coeffs(cls, order: int, coeffs: Iterable[int]) -> "ResidueElement":
-        """Reduce an arbitrary coefficient list modulo Phi_order."""
-        from .cyclotomic import euler_totient, phi
-
-        rem = _long_division(coeffs, _dense(phi(order))[1])[1]
-        return cls(order, tuple(rem) + (0,) * (euler_totient(order) - len(rem)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResidueElement):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"ResidueElement(order={self.order}, coeffs={self.coeffs})"
-
-    def constant_value(self) -> Optional[int]:
-        """The residue as an integer if it is constant, else None."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def to_complex(self, j: int = 1) -> complex:
-        """Numeric embedding sending x to exp(2*pi*i*j/order)."""
-        z = cmath.exp(2j * cmath.pi * j / self.order)
-        out = 0j
-        for c in reversed(self.coeffs):
-            out = out * z + c
-        return out
-
 
 def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
     """(lowest exponent, ascending coefficients) of a nonzero polynomial."""
@@ -346,6 +281,17 @@ def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
     for e, c in p._terms.items():
         out[e - lo] = c
     return lo, out
+
+
+def _fold(p: LaurentPoly, n: int) -> list[int]:
+    """Ascending coefficients of P modulo x^n - 1, of length n.
+
+    x^n == 1 there, so every exponent (negative ones too) reduces mod n.
+    """
+    out = [0] * n
+    for e, c in p._terms.items():
+        out[e % n] += c
+    return out
 
 
 def _long_division(num: Iterable[int], den: list[int]) -> tuple[list[int], list[int]]:

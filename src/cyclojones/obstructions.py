@@ -14,6 +14,7 @@ from typing import Optional
 
 from sympy import factorint, integer_log
 
+from .cyclotomic import residue
 from .laurent import LaurentPoly
 from .wnk import f, g
 
@@ -52,15 +53,14 @@ def special_value_check(p: LaurentPoly) -> SpecialValueReport:
     if not p:
         raise ValueError("cannot check the zero polynomial")
     at_one, deriv = p.value_and_derivative_at_one()
-    zeta3_ok = p.evaluate_residue(3).constant_value() == 1
-    at_i = p.evaluate_residue(4).constant_value()
-    if at_i not in (1, -1):
-        at_i = None
+    zeta3_ok = residue(p, 3) == (1, 0)
+    at_i = residue(p, 4)
+    at_i = at_i[0] if at_i in ((1, 0), (-1, 0)) else None
 
     # V(zeta_6) = a + b*zeta_6 must be +-(i*sqrt(3))^s.  As
     # (i*sqrt(3))^2 = -3, s = 2j means a = +-3^j, b = 0, and s = 2j + 1
     # means +-3^j * (2*zeta_6 - 1), that is a = -+3^j, b = -2a.
-    a, b = p.evaluate_residue(6).coeffs
+    a, b = residue(p, 6)
     zeta6_exp = None
     if a and b in (0, -2 * a):
         j, exact = integer_log(abs(a), 3)

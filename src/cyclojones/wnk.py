@@ -21,8 +21,9 @@ from .laurent import LaurentPoly, poly_to_json
 
 T2_MINUS_1 = LaurentPoly({2: 1, 0: -1})
 
-# Largest Phi^sym_{2N} (N = 2^p - 1 terms) that mersenne_knot will build.
-MERSENNE_MAX_TERMS = 2**20
+# Term budget: jones_wnk refuses a closed-form numerator of wider span,
+# and mersenne_knot a Phi^sym_{2N} of more terms (N = 2^p - 1).
+MAX_TERMS = 2**20
 
 
 class FamilyParams(NamedTuple):
@@ -88,12 +89,18 @@ def jones_wnk(n: int, k: int) -> LaurentPoly:
 
     The division by t^2 - 1 and the knot conditions V(1) = 1, V'(1) = 0
     are theorems, so they are asserted on every call and a failure raises
-    rather than returning a wrong value.
+    rather than returning a wrong value.  (n, k) whose numerator spans more
+    than MAX_TERMS exponents is rejected before anything dense is built.
     """
-    _check_k(k)
+    d = d_polynomial(n, k)
+    if d.span() > MAX_TERMS:
+        raise ValueError(
+            f"W({n},{k}): the closed form spans {d.span()} exponents, over the "
+            f"budget of {MAX_TERMS} terms"
+        )
     prefactor_exp = n * (n - 1) // 2 + k * (k - 1) - 2 * n * k
     try:
-        v = d_polynomial(n, k).divide_exact(T2_MINUS_1).shift(prefactor_exp)
+        v = d.divide_exact(T2_MINUS_1).shift(prefactor_exp)
     except Exception as exc:
         raise InternalInconsistencyError(
             f"W({n},{k}): closed-form numerator not divisible by t^2 - 1"
@@ -220,14 +227,14 @@ def mersenne_knot(p: int) -> MersenneWitness:
 
     Works because N = 2*(2^((p-1)/2))^2 - 1 = g(k+1) with
     k = 2^((p-1)/2) - 1, putting N in the image of g.  V has N terms, so p
-    is rejected before anything is built when N exceeds MERSENNE_MAX_TERMS.
+    is rejected before anything is built when N exceeds MAX_TERMS.
     """
     if p <= 2 or p % 2 == 0:
         raise ValueError("p must be an odd prime exponent > 2")
-    if p >= (MERSENNE_MAX_TERMS + 1).bit_length():  # 2^p - 1 > the budget
+    if p >= (MAX_TERMS + 1).bit_length():  # 2^p - 1 > the budget
         raise ValueError(
             f"p={p}: V would have 2^{p} - 1 terms, over the budget of "
-            f"{MERSENNE_MAX_TERMS} terms"
+            f"{MAX_TERMS} terms"
         )
     order = 2**p - 1
     if not isprime(order):

@@ -165,6 +165,19 @@ class TestOracleEquivalence:
         assert len(results) == 105
         assert all(ok for _, _, ok in results)
 
+    @pytest.mark.parametrize(
+        "bounds, match",
+        [
+            ((2, 1, 0, 1), "n range"),
+            ((0, 1, 2, 1), "k range"),
+            ((0, 1, -1, 1), "k_lo=-1 is negative"),
+        ],
+        ids=["n_lo>n_hi", "k_lo>k_hi", "k_lo<0"],
+    )
+    def test_each_bad_bound_named(self, bounds, match):
+        with pytest.raises(ValueError, match=match):
+            verify_range(*bounds)
+
     def test_single_cells(self):
         for n, k in ((3, 2), (-4, 3), (5, 1), (-6, 4)):
             assert bracket_to_jones(n, k, bracket_wnk(n, k)) == jones_wnk(n, k)

@@ -196,6 +196,7 @@ class TestUsage:
         "argv",
         [
             ["jones", "-n", "0", "-k", "-1"],
+            ["jones", "-n", "1000000000", "-k", "1"],
             ["writhe", "-n", "0", "-k", "-1"],
             ["verify", "--n", "0..1", "--k", "-1..1"],
             ["table", "--k-max", "0"],
@@ -213,3 +214,5 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert code == 1 and not out
         assert err.startswith("error: ")
+        if argv[0] == "verify":
+            assert "k_lo" in err

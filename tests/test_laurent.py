@@ -4,11 +4,11 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from cyclojones.cyclotomic import euler_totient, residue
 from cyclojones.errors import InexactDivisionError, ParseError, TagError
 from cyclojones.laurent import (
     VARIABLES,
     LaurentPoly,
-    ResidueElement,
     parse_poly,
     poly_from_json,
     poly_to_json,
@@ -186,19 +186,19 @@ class TestValueAndDerivative:
 
 class TestResidueEvaluation:
     def test_phi3_is_zero(self):
-        assert P("t^2 + t + 1").evaluate_residue(3).is_zero()
+        assert residue(P("t^2 + t + 1"), 3) == (0, 0)
 
     def test_figure_eight_at_zeta3(self):
-        assert V_41.evaluate_residue(3).constant_value() == 1
+        assert residue(V_41, 3) == (1, 0)
 
     def test_t_to_the_five_mod_phi5(self):
-        assert P("t^5").evaluate_residue(5).constant_value() == 1
+        assert residue(P("t^5"), 5) == (1, 0, 0, 0)
 
     @pytest.mark.parametrize("order", range(2, 31))
     def test_inverse_resolution(self, order):
         # t * t^(order-1) reduces to 1
         p = LaurentPoly({order: 1})
-        assert p.evaluate_residue(order).constant_value() == 1
+        assert residue(p, order) == (1,) + (0,) * (euler_totient(order) - 1)
 
     @given(
         st.dictionaries(st.integers(-25, 25), st.integers(-9, 9), max_size=6),
@@ -207,17 +207,18 @@ class TestResidueEvaluation:
     def test_residue_matches_complex_embedding(self, terms, order):
         p = LaurentPoly(terms)
         numeric = p.evaluate_complex(order)
-        embedded = p.evaluate_residue(order).to_complex()
+        z = cmath.exp(2j * cmath.pi / order)
+        embedded = sum(c * z**j for j, c in enumerate(residue(p, order)))
         assert abs(numeric - embedded) < 1e-9
 
     @given(st.lists(st.integers(-50, 50), max_size=60), st.integers(2, 40))
-    def test_from_coeffs_matches_sympy_rem(self, coeffs, order):
+    def test_matches_sympy_rem(self, coeffs, order):
         x = sympy.Symbol("x")
         dividend = sympy.Poly(list(reversed(coeffs)) or [0], x, domain="ZZ")
         rem = dividend.rem(sympy.Poly(sympy.cyclotomic_poly(order, x), x, domain="ZZ"))
         expected = [int(c) for c in reversed(rem.all_coeffs())]
         expected += [0] * (sympy.totient(order) - len(expected))
-        assert ResidueElement.from_coeffs(order, coeffs).coeffs == tuple(expected)
+        assert residue(LaurentPoly(enumerate(coeffs)), order) == tuple(expected)
 
 
 class TestComplexEvaluation:

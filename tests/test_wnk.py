@@ -191,6 +191,21 @@ class TestGenerateTable:
         assert row["crossing_bound"] == 4
 
 
+class TestTermBudget:
+    @pytest.mark.parametrize("n, k", [(10**9, 1), (-(10**9), 0)])
+    def test_oversized_rejected_before_dividing(self, monkeypatch, n, k):
+        def refuse(self, other):
+            raise AssertionError("divide_exact was called")
+
+        monkeypatch.setattr(LaurentPoly, "divide_exact", refuse)
+        with pytest.raises(ValueError, match="budget"):
+            jones_wnk(n, k)
+
+    def test_largest_mersenne_member_within_budget(self):
+        # W(1022, 511) is the p = 19 witness; its numerator spans 2^19
+        assert d_polynomial(1022, 511).span() <= cyclojones.wnk.MAX_TERMS
+
+
 class TestMersenne:
     def test_p3(self):
         witness = mersenne_knot(3)
