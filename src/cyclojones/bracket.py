@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConversionError, WindowError
+from .errors import InternalInconsistencyError, TagError
 from .laurent import LaurentPoly
-from .wnk import jones_wnk, writhe_wnk
+from .wnk import MAX_TERMS, d_exponents, jones_wnk, writhe_wnk
 
 _A_KINK = LaurentPoly({-1: 1, 3: -1}, "A")  # A^-1 - A^3
 
@@ -60,7 +60,7 @@ class BracketLevel:
         try:
             return self.values[n]
         except KeyError:
-            raise WindowError(
+            raise InternalInconsistencyError(
                 f"level k={self.k} has no entry for n={n}; enlarge the window"
             ) from None
 
@@ -104,8 +104,34 @@ def _next_level(prev: BracketLevel, window: int) -> BracketLevel:
     return BracketLevel(prev.k + 1, values)
 
 
+def _check_budget(n_abs_max: int, k_max: int) -> None:
+    """Refuse levels whose cells would hold more than MAX_TERMS terms in all.
+
+    Cell (n, j) holds about span(d_polynomial(n, j)) - 1 terms, read from
+    the exponents alone.  The sum runs over the windows bracket_levels
+    builds, starting at level 0's most negative n (one of the widest
+    cells), and stops as soon as it passes the budget.
+    """
+    total = 0
+    for j in range(k_max + 1):
+        window = n_abs_max + 2 * (k_max - j) + 2
+        for n in range(-window, window + 1):
+            e = d_exponents(n, j)
+            total += max(e) - min(e) - 1
+            if total > MAX_TERMS:
+                raise ValueError(
+                    f"bracket levels for |n| <= {n_abs_max}, k <= {k_max} would hold "
+                    f"more than the budget of {MAX_TERMS} terms"
+                )
+
+
 def bracket_levels(n_abs_max: int, k_max: int) -> list[BracketLevel]:
-    """Levels 0..k_max with windows wide enough for |n| <= n_abs_max at the top."""
+    """Levels 0..k_max with windows wide enough for |n| <= n_abs_max at the top.
+
+    Raises ValueError before building anything when the levels would hold
+    more than MAX_TERMS terms in all.
+    """
+    _check_budget(n_abs_max, k_max)
     window = n_abs_max + 2 * k_max + 2
     levels = [
         BracketLevel(0, {n: bracket_wnk_base(n) for n in range(-window, window + 1)})
@@ -131,13 +157,13 @@ def bracket_to_jones(n: int, k: int, bracket: LaurentPoly) -> LaurentPoly:
     <W(n,k)> = (-1)^k A^(3w) V_{W(n,k)}, w the writhe of W(n,k).
     """
     if bracket.variable != "A":
-        raise ConversionError("bracket must be an A-polynomial")
+        raise TagError("bracket must be an A-polynomial")
     sign = -1 if k % 2 else 1
     shifted = bracket.scale(sign, -3 * writhe_wnk(n, k))
     terms = {}
     for e, c in shifted.items():
         if e % 4:
-            raise ConversionError(
+            raise InternalInconsistencyError(
                 f"A-exponent {e} not divisible by 4; writhe/bracket mismatch"
             )
         terms[-e // 4] = c
@@ -147,7 +173,7 @@ def bracket_to_jones(n: int, k: int, bracket: LaurentPoly) -> LaurentPoly:
 def jones_to_bracket(n: int, k: int, v: LaurentPoly) -> LaurentPoly:
     """Inverse of bracket_to_jones."""
     if v.variable != "t":
-        raise ConversionError("Jones polynomial must be a t-polynomial")
+        raise TagError("Jones polynomial must be a t-polynomial")
     sign = -1 if k % 2 else 1
     return v.substitute_power(-4, "A").scale(sign, 3 * writhe_wnk(n, k))
 

@@ -104,12 +104,11 @@ class CyclotomicFactorization:
     sign: int
     factors: tuple[tuple[int, int], ...]  # (index, multiplicity), ascending
 
-    def reconstruct(self, variable: str = "t") -> LaurentPoly:
-        out = LaurentPoly.monomial(self.sign, self.monomial_shift, variable)
+    def reconstruct(self) -> LaurentPoly:
+        out = LaurentPoly.monomial(self.sign, self.monomial_shift)
         for d, mult in self.factors:
-            base = phi(d) if variable == "t" else phi(d).substitute_power(1, variable)
             for _ in range(mult):
-                out = out * base
+                out = out * phi(d)
         return out
 
     def to_json(self) -> dict:

@@ -29,13 +29,5 @@ class InternalInconsistencyError(CyclojonesError):
     """Two routes that must agree by a proved identity disagreed."""
 
 
-class WindowError(CyclojonesError):
-    """A bracket recursion level was asked for an entry outside its window."""
-
-
-class ConversionError(CyclojonesError):
-    """Bracket-to-Jones conversion hit an A-exponent not divisible by 4."""
-
-
 class NumericError(CyclojonesError):
     """Numeric root finding failed to converge."""

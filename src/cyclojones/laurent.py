@@ -18,6 +18,7 @@ the construction of Phi_n and the exact values modulo Phi_n.
 from __future__ import annotations
 
 import cmath
+import re
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import InexactDivisionError, ParseError, TagError
@@ -119,8 +120,12 @@ class LaurentPoly:
         return cls({e: c}, variable)
 
     @classmethod
-    def var(cls, variable: str = "t") -> "LaurentPoly":
-        return cls({1: 1}, variable)
+    def _new(cls, terms: dict[int, int], variable: str) -> "LaurentPoly":
+        """Wrap a dict with no zero coefficients, without copying or checking it."""
+        out = object.__new__(cls)
+        out._terms = terms
+        out._variable = variable
+        return out
 
     # -- ring operations ---------------------------------------------------
 
@@ -144,16 +149,12 @@ class LaurentPoly:
                 data[e] = c
             elif e in data:
                 del data[e]
-        out = LaurentPoly.zero(self._variable)
-        out._terms = data
-        return out
+        return self._new(data, self._variable)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.zero(self._variable)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return self._new({e: -c for e, c in self._terms.items()}, self._variable)
 
     def __sub__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
         return self + (-self._coerce(other))
@@ -176,9 +177,7 @@ class LaurentPoly:
                     data[e] = c
                 elif e in data:
                     del data[e]
-        out = LaurentPoly.zero(self._variable)
-        out._terms = data
-        return out
+        return self._new(data, self._variable)
 
     __rmul__ = __mul__
 
@@ -186,9 +185,7 @@ class LaurentPoly:
         """Multiply by the monomial c*x^e."""
         if c == 0:
             return LaurentPoly.zero(self._variable)
-        out = LaurentPoly.zero(self._variable)
-        out._terms = {ei + e: ci * c for ei, ci in self._terms.items()}
-        return out
+        return self._new({ei + e: ci * c for ei, ci in self._terms.items()}, self._variable)
 
     def shift(self, e: int) -> "LaurentPoly":
         """Multiply by x^e."""
@@ -202,9 +199,10 @@ class LaurentPoly:
         """
         if e == 0:
             raise ValueError("substitution exponent must be nonzero")
-        out = LaurentPoly.zero(new_variable or self._variable)
-        out._terms = {ei * e: ci for ei, ci in self._terms.items()}
-        return out
+        variable = new_variable or self._variable
+        if variable not in VARIABLES:
+            raise ValueError(f"unknown variable tag {variable!r}")
+        return self._new({ei * e: ci for ei, ci in self._terms.items()}, variable)
 
     def divide_exact(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
         """Return R with other*R == self, raising if no such R exists."""
@@ -219,17 +217,13 @@ class LaurentPoly:
         quot, rem = _long_division(num, den)
         if any(rem):
             raise InexactDivisionError("division left a remainder")
-        out = LaurentPoly.zero(self._variable)
-        out._terms = {e + a - b: c for e, c in enumerate(quot) if c}
-        return out
+        return self._new({e + a - b: c for e, c in enumerate(quot) if c}, self._variable)
 
     # -- symmetry predicates -----------------------------------------------
 
     def reversed(self) -> "LaurentPoly":
         """P(x^-1)."""
-        out = LaurentPoly.zero(self._variable)
-        out._terms = {-e: c for e, c in self._terms.items()}
-        return out
+        return self._new({-e: c for e, c in self._terms.items()}, self._variable)
 
     def is_symmetric(self) -> bool:
         """True iff P(x^-1) == P(x)."""
@@ -344,6 +338,10 @@ def print_poly(p: LaurentPoly) -> str:
     return " ".join(pieces)
 
 
+# one term, every part optional: sign, coefficient, variable, ^exponent (no blank in it)
+_TERM = re.compile(r"([+-]?)\s*(\d*)\s*(?:([tA])(?:\^([+-]?\d*))?)?\s*")
+
+
 def parse_poly(text: str, variable: Optional[str] = None) -> LaurentPoly:
     """Parse the textual grammar: signed terms of [coeff][var][^exp].
 
@@ -351,67 +349,29 @@ def parse_poly(text: str, variable: Optional[str] = None) -> LaurentPoly:
     constants); pass `variable` to require a specific tag.
     """
     s = text.replace("−", "-")  # unicode minus
-    n = len(s)
-    pos = 0
+    pos = len(s) - len(s.lstrip())
     terms: list[tuple[int, int]] = []
     seen_var: Optional[str] = None
-
-    def skip_ws(i: int) -> int:
-        while i < n and s[i].isspace():
-            i += 1
-        return i
-
-    pos = skip_ws(pos)
-    if pos == n:
-        raise ParseError("empty polynomial", pos)
-    first = True
-    while pos < n:
-        sign = 1
-        if s[pos] in "+-":
-            if s[pos] == "-":
-                sign = -1
-            pos = skip_ws(pos + 1)
-        elif not first:
+    while pos < len(s):
+        m = _TERM.match(s, pos)
+        sign, digits, var, exp = m.groups()
+        if terms and not sign:
             raise ParseError("expected '+' or '-' between terms", pos)
-        first = False
-        start = pos
-        coeff_digits = ""
-        while pos < n and s[pos].isdigit():
-            coeff_digits += s[pos]
-            pos += 1
-        pos = skip_ws(pos)
-        var_here = None
-        exp = None
-        if pos < n and s[pos] in "tA":
-            var_here = s[pos]
-            pos += 1
-            if pos < n and s[pos] == "^":
-                pos += 1
-                exp_start = pos
-                if pos < n and s[pos] in "+-":
-                    pos += 1
-                while pos < n and s[pos].isdigit():
-                    pos += 1
-                if pos == exp_start or not s[exp_start:pos].lstrip("+-"):
-                    raise ParseError("dangling exponent", exp_start)
-                exp = int(s[exp_start:pos])
-        if var_here is None and not coeff_digits:
-            raise ParseError("expected a term", start)
-        if var_here is not None:
-            if seen_var is not None and seen_var != var_here:
-                raise ParseError("mixed variables in one polynomial", start)
-            seen_var = var_here
-        c = int(coeff_digits) if coeff_digits else 1
-        e = (exp if exp is not None else 1) if var_here is not None else 0
-        terms.append((e, sign * c))
-        pos = skip_ws(pos)
-
-    var = seen_var or "t"
-    if variable is not None:
-        if seen_var is not None and seen_var != variable:
-            raise ParseError(f"expected variable {variable!r}", 0)
-        var = variable
-    return LaurentPoly(terms, var)
+        if not (digits or var):
+            raise ParseError("expected a term", m.start(2))
+        if exp is not None and not exp.lstrip("+-"):
+            raise ParseError("dangling exponent", m.start(4))
+        if var:
+            if seen_var not in (None, var):
+                raise ParseError("mixed variables in one polynomial", m.start(2))
+            seen_var = var
+        terms.append((int(exp or 1) if var else 0, int(sign + (digits or "1"))))
+        pos = m.end()
+    if not terms:
+        raise ParseError("empty polynomial", pos)
+    if variable is not None and seen_var not in (None, variable):
+        raise ParseError(f"expected variable {variable!r}", 0)
+    return LaurentPoly(terms, (seen_var or "t") if variable is None else variable)
 
 
 def poly_to_json(p: LaurentPoly) -> dict:

@@ -69,19 +69,22 @@ def _check_k(k: int) -> None:
         raise ValueError("k must be >= 0")
 
 
+def d_exponents(n: int, k: int) -> tuple[int, ...]:
+    """The six raw exponents of d_polynomial(n, k), whose signs are - + + - + -."""
+    return (
+        (k + 2) * n + 1,
+        (k + 1) * (n + 1) + k + 1,
+        (k + 1) * (n + 1),
+        k * (n + 3) + 1,
+        1,
+        0,
+    )
+
+
 def d_polynomial(n: int, k: int) -> LaurentPoly:
     """The degree-heavy factor of the closed form, divisible by t^2 - 1."""
     _check_k(k)
-    return LaurentPoly(
-        [
-            ((k + 2) * n + 1, -1),
-            ((k + 1) * (n + 1) + k + 1, 1),
-            ((k + 1) * (n + 1), 1),
-            (k * (n + 3) + 1, -1),
-            (1, 1),
-            (0, -1),
-        ]
-    )
+    return LaurentPoly(zip(d_exponents(n, k), (-1, 1, 1, -1, 1, -1)))
 
 
 def jones_wnk(n: int, k: int) -> LaurentPoly:

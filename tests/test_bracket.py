@@ -1,5 +1,6 @@
 import pytest
 
+import cyclojones.bracket
 from cyclojones.bracket import (
     BracketLevel,
     bracket_levels,
@@ -12,7 +13,7 @@ from cyclojones.bracket import (
     torus_jones,
     verify_range,
 )
-from cyclojones.errors import ConversionError, WindowError
+from cyclojones.errors import InternalInconsistencyError, TagError
 from cyclojones.laurent import LaurentPoly, parse_poly
 from cyclojones.wnk import jones_wnk
 
@@ -90,7 +91,7 @@ class TestSSum:
 
     def test_window_error(self):
         small = BracketLevel(0, {0: bracket_wnk_base(0)})
-        with pytest.raises(WindowError):
+        with pytest.raises(InternalInconsistencyError, match="no entry for n="):
             s_sum(4, small)
 
     def test_recurrence(self):
@@ -151,12 +152,14 @@ class TestConversion:
         assert bracket_to_jones(1, 1, jones_to_bracket(1, 1, v)) == v
 
     def test_bad_exponent_rejected(self):
-        with pytest.raises(ConversionError):
+        with pytest.raises(InternalInconsistencyError, match="not divisible by 4"):
             bracket_to_jones(0, 0, LaurentPoly({1: 1}, "A"))
 
     def test_wrong_variable_rejected(self):
-        with pytest.raises(ConversionError):
+        with pytest.raises(TagError):
             bracket_to_jones(0, 0, parse_poly("t"))
+        with pytest.raises(TagError):
+            jones_to_bracket(0, 0, LaurentPoly.one("A"))
 
 
 class TestOracleEquivalence:
@@ -177,6 +180,31 @@ class TestOracleEquivalence:
     def test_each_bad_bound_named(self, bounds, match):
         with pytest.raises(ValueError, match=match):
             verify_range(*bounds)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: verify_range(0, 100000, 0, 1), lambda: bracket_wnk(10**5, 1)],
+        ids=["verify_range(0, 100000, 0, 1)", "bracket_wnk(10**5, 1)"],
+    )
+    def test_oversized_rejected_before_building(self, monkeypatch, call):
+        def refuse(n):
+            raise AssertionError("bracket_wnk_base was called")
+
+        monkeypatch.setattr(cyclojones.bracket, "bracket_wnk_base", refuse)
+        with pytest.raises(ValueError, match="budget"):
+            call()
+
+    def test_within_budget_reaches_the_build(self, monkeypatch):
+        # the levels for n -40..40, k 0..20 hold about 836k terms, under 2^20
+        class Reached(Exception):
+            pass
+
+        def reached(n):
+            raise Reached
+
+        monkeypatch.setattr(cyclojones.bracket, "bracket_wnk_base", reached)
+        with pytest.raises(Reached):
+            verify_range(-40, 40, 0, 20)
 
     def test_single_cells(self):
         for n, k in ((3, 2), (-4, 3), (5, 1), (-6, 4)):

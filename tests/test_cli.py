@@ -82,6 +82,17 @@ class TestVerifyCommand:
         assert code == 2
         assert json.loads(out) == {"total": 6, "ok": 5, "mismatches": [{"n": 1, "k": 1}]}
 
+    def test_writhe_fault_exits_2(self, capsys, monkeypatch):
+        true_writhe = cyclojones.bracket.writhe_wnk
+
+        def planted(n, k):
+            return true_writhe(n, k) + ((n, k) == (1, 1))
+
+        monkeypatch.setattr(cyclojones.bracket, "writhe_wnk", planted)
+        code, _, err = run(capsys, "verify", "--n", "0..2", "--k", "0..1")
+        assert code == 2
+        assert "not divisible by 4" in err
+
     def test_bad_range_exits_1(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "bogus")
         assert code == 1
@@ -199,6 +210,7 @@ class TestUsage:
             ["jones", "-n", "1000000000", "-k", "1"],
             ["writhe", "-n", "0", "-k", "-1"],
             ["verify", "--n", "0..1", "--k", "-1..1"],
+            ["verify", "--n", "0..100000", "--k", "0..1"],
             ["table", "--k-max", "0"],
             ["classify", "--k-max", "0"],
             ["phi", "0"],
@@ -215,4 +227,4 @@ class TestUsage:
         assert code == 1 and not out
         assert err.startswith("error: ")
         if argv[0] == "verify":
-            assert "k_lo" in err
+            assert ("k_lo" if "-1..1" in argv else "budget") in err

@@ -96,6 +96,10 @@ class TestSubstitutePower:
         with pytest.raises(ValueError):
             P("t").substitute_power(0)
 
+    def test_unknown_tag_rejected(self):
+        with pytest.raises(ValueError, match="unknown variable tag"):
+            P("t").substitute_power(2, "x")
+
 
 class TestDivideExact:
     def test_self_division(self):
@@ -233,7 +237,39 @@ class TestComplexEvaluation:
         assert cmath.isclose(value, cmath.exp(2j * cmath.pi / 8))
 
 
+# (text, variable=, value or (ParseError message, position))
+GRAMMAR = [
+    (" -  3 t^2 +\t4 ", None, LaurentPoly({2: -3, 0: 4})),
+    ("−t + 1", None, LaurentPoly({1: -1, 0: 1})),
+    ("t^+3 - 2", None, LaurentPoly({3: 1, 0: -2})),
+    ("A^-2", None, LaurentPoly({-2: 1}, "A")),
+    ("7", None, LaurentPoly({0: 7})),
+    ("7", "A", LaurentPoly({0: 7}, "A")),
+    ("", None, ("empty polynomial", 0)),
+    (" \t", None, ("empty polynomial", 2)),
+    ("t 2", None, ("expected '+' or '-' between terms", 2)),
+    ("t ^2", None, ("expected '+' or '-' between terms", 2)),
+    ("2t^ + 1", None, ("dangling exponent", 3)),
+    ("t^- 1", None, ("dangling exponent", 2)),
+    ("t + ", None, ("expected a term", 4)),
+    ("1 - - t", None, ("expected a term", 4)),
+    ("t + A", None, ("mixed variables in one polynomial", 4)),
+    ("A^2", "t", ("expected variable 't'", 0)),
+]
+
+
 class TestTextAndJson:
+    @pytest.mark.parametrize("text, variable, expected", GRAMMAR, ids=repr)
+    def test_grammar(self, text, variable, expected):
+        if isinstance(expected, LaurentPoly):
+            assert parse_poly(text, variable) == expected
+            return
+        message, position = expected
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, variable)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
+
     def test_parse_figure_eight(self):
         assert parse_poly("t^-2 - t^-1 + 1 - t + t^2") == LaurentPoly(
             {-2: 1, -1: -1, 0: 1, 1: -1, 2: 1}
