@@ -10,9 +10,12 @@ produced by the kink formula
 
     <W(n,k+1)> = (A^-1 - A^3) * A^n * S_n - A^(2n-1) * <W(n-2,k)>
 
-where S_n is a signed sum over the previous level.  Each step consumes
-level entries up to two indices wider than the one it produces, so the
-windows shrink by two per level.
+where S_n = sum_{i=0..n} A^(n-2i) g_(-n+2i) is a signed sum over the
+previous level (g_a = <W(-a-2,k)>).  S_n and S_(n-2) differ by two terms,
+so a level carries one running sum per parity of n and costs O(W)
+additions for a window of width W.  Each step consumes level entries up
+to two indices wider than the one it produces, so the windows shrink by
+two per level.
 """
 
 from __future__ import annotations
@@ -97,10 +100,17 @@ def s_prime(n: int, k: int) -> LaurentPoly:
 
 
 def _next_level(prev: BracketLevel, window: int) -> BracketLevel:
+    # One running sum per parity, seeded with S_-1 and S_0 by s_sum:
+    # S_n = S_(n-2) + A^n g_(-n) + A^(-n) g_n for n >= 1, and S_n = -S_(-n-2)
+    # below -1.  Two additions per n, so the level costs O(window) additions
+    # where summing each S_n from scratch would cost O(window^2).
+    sums = {-1: s_sum(-1, prev), 0: s_sum(0, prev)}
+    for n in range(1, window + 1):
+        sums[n] = sums[n - 2] + prev.g(-n).shift(n) + prev.g(n).shift(-n)
     values = {}
     for n in range(-window, window + 1):
-        kink = _A_KINK * s_sum(n, prev).shift(n)
-        values[n] = kink - prev.bracket(n - 2).shift(2 * n - 1)
+        s = sums[n] if n >= -1 else -sums[-n - 2]
+        values[n] = _A_KINK * s.shift(n) - prev.bracket(n - 2).shift(2 * n - 1)
     return BracketLevel(prev.k + 1, values)
 
 
@@ -143,10 +153,22 @@ def bracket_levels(n_abs_max: int, k_max: int) -> list[BracketLevel]:
 
 
 def bracket_wnk(n: int, k: int) -> LaurentPoly:
-    """<W(n,k)> by the level recursion (variable A)."""
+    """<W(n,k)> by the level recursion (variable A).
+
+    Raises ValueError before building anything when the cell is over the
+    budget: for k = 0, when d_polynomial(n, 0) spans more than MAX_TERMS
+    exponents, as in jones_wnk; for k >= 1, as in bracket_levels.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
+        e = d_exponents(n, 0)
+        span = max(e) - min(e)
+        if span > MAX_TERMS:
+            raise ValueError(
+                f"W({n},0): the closed form spans {span} exponents, over the "
+                f"budget of {MAX_TERMS} terms"
+            )
         return bracket_wnk_base(n)
     return bracket_levels(abs(n), k)[k].bracket(n)
 

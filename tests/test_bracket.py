@@ -108,6 +108,45 @@ class TestSSum:
                 assert lhs == rhs
 
 
+class TestRunningSums:
+    @staticmethod
+    def reference_level(prev, window):
+        # each S_n summed from scratch by its definition
+        return BracketLevel(
+            prev.k + 1,
+            {
+                n: cyclojones.bracket._A_KINK * s_sum(n, prev).shift(n)
+                - prev.bracket(n - 2).shift(2 * n - 1)
+                for n in range(-window, window + 1)
+            },
+        )
+
+    @pytest.mark.parametrize("a", range(9))
+    def test_levels_match_definition(self, a):
+        for k in range(1, 6):
+            levels = bracket_levels(a, k)
+            for j in range(1, k + 1):
+                expected = self.reference_level(levels[j - 1], a + 2 * (k - j) + 2)
+                assert levels[j].values == expected.values
+
+    def test_linear_additions_per_level(self, monkeypatch):
+        # summing each S_n from scratch makes about 23 additions per cell here
+        calls = 0
+        add = LaurentPoly.__add__
+
+        def counting_add(self, other):
+            nonlocal calls
+            calls += 1
+            return add(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__add__", counting_add)
+        levels = bracket_levels(40, 2)
+        monkeypatch.undo()
+        assert LaurentPoly.__add__ is add
+        cells = sum(len(level.values) for level in levels[1:])
+        assert calls <= 3 * cells
+
+
 class TestSPrime:
     def test_minus_one_vanishes(self):
         for k in range(0, 6):
@@ -137,6 +176,19 @@ class TestBracketWnk:
     def test_k_zero_is_base(self):
         for n in range(-5, 6):
             assert bracket_wnk(n, 0) == bracket_wnk_base(n)
+
+    def test_k_zero_oversized_rejected_before_building(self, monkeypatch):
+        def refuse(p, q):
+            raise AssertionError("torus_jones was called")
+
+        monkeypatch.setattr(cyclojones.bracket, "torus_jones", refuse)
+        for n in (2**20, -(2**20)):
+            with pytest.raises(ValueError, match="budget"):
+                bracket_wnk(n, 0)
+
+    def test_k_zero_within_budget(self):
+        b = bracket_wnk(1000, 0)
+        assert bracket_to_jones(1000, 0, b) == torus_jones(1000, 1001)
 
 
 class TestConversion:
