@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import InternalInconsistencyError, TagError
 from .laurent import LaurentPoly
-from .wnk import MAX_TERMS, d_exponents, jones_wnk, writhe_wnk
+from .wnk import MAX_TERMS, _check_span, d_exponents, jones_wnk, writhe_wnk
 
 _A_KINK = LaurentPoly({-1: 1, 3: -1}, "A")  # A^-1 - A^3
 
@@ -156,19 +156,13 @@ def bracket_wnk(n: int, k: int) -> LaurentPoly:
     """<W(n,k)> by the level recursion (variable A).
 
     Raises ValueError before building anything when the cell is over the
-    budget: for k = 0, when d_polynomial(n, 0) spans more than MAX_TERMS
-    exponents, as in jones_wnk; for k >= 1, as in bracket_levels.
+    budget: for k = 0, by jones_wnk's check that d_polynomial(n, 0) spans
+    at most MAX_TERMS exponents; for k >= 1, as in bracket_levels.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
-        e = d_exponents(n, 0)
-        span = max(e) - min(e)
-        if span > MAX_TERMS:
-            raise ValueError(
-                f"W({n},0): the closed form spans {span} exponents, over the "
-                f"budget of {MAX_TERMS} terms"
-            )
+        _check_span(n, 0)
         return bracket_wnk_base(n)
     return bracket_levels(abs(n), k)[k].bracket(n)
 

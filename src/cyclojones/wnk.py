@@ -87,6 +87,17 @@ def d_polynomial(n: int, k: int) -> LaurentPoly:
     return LaurentPoly(zip(d_exponents(n, k), (-1, 1, 1, -1, 1, -1)))
 
 
+def _check_span(n: int, k: int) -> LaurentPoly:
+    """d_polynomial(n, k), or ValueError when it spans more than MAX_TERMS exponents."""
+    d = d_polynomial(n, k)
+    if d.span() > MAX_TERMS:
+        raise ValueError(
+            f"W({n},{k}): the closed form spans {d.span()} exponents, over the "
+            f"budget of {MAX_TERMS} terms"
+        )
+    return d
+
+
 def jones_wnk(n: int, k: int) -> LaurentPoly:
     """Jones polynomial of W(n,k) by the closed form.
 
@@ -95,12 +106,7 @@ def jones_wnk(n: int, k: int) -> LaurentPoly:
     rather than returning a wrong value.  (n, k) whose numerator spans more
     than MAX_TERMS exponents is rejected before anything dense is built.
     """
-    d = d_polynomial(n, k)
-    if d.span() > MAX_TERMS:
-        raise ValueError(
-            f"W({n},{k}): the closed form spans {d.span()} exponents, over the "
-            f"budget of {MAX_TERMS} terms"
-        )
+    d = _check_span(n, k)
     prefactor_exp = n * (n - 1) // 2 + k * (k - 1) - 2 * n * k
     try:
         v = d.divide_exact(T2_MINUS_1).shift(prefactor_exp)

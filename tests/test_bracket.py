@@ -186,6 +186,22 @@ class TestBracketWnk:
             with pytest.raises(ValueError, match="budget"):
                 bracket_wnk(n, 0)
 
+    def test_k_zero_refuses_what_jones_refuses(self, monkeypatch):
+        # jones_wnk reaches the division only for a cell inside the budget
+        def stop(self, divisor):
+            raise RuntimeError("divide_exact reached")
+
+        monkeypatch.setattr(LaurentPoly, "divide_exact", stop)
+        monkeypatch.setattr(cyclojones.bracket, "bracket_wnk_base", lambda n: "built")
+        for n in (2**19 - 1, 2**19, -(2**19) + 1, -(2**19), -(2**19) - 1):
+            try:
+                jones_wnk(n, 0)
+            except ValueError:
+                with pytest.raises(ValueError, match="budget"):
+                    bracket_wnk(n, 0)
+            except InternalInconsistencyError:
+                assert bracket_wnk(n, 0) == "built"
+
     def test_k_zero_within_budget(self):
         b = bracket_wnk(1000, 0)
         assert bracket_to_jones(1000, 0, b) == torus_jones(1000, 1001)

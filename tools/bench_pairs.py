@@ -1,12 +1,13 @@
 """Benchmark two checkouts against each other in alternating pairs.
 
     python3 tools/bench_pairs.py PARENT CHANGE [--workloads verify_sweep ...]
-        [--seeds 1 2 3 4 5] [--seconds 20] > BENCH_<n>.json
+        [--seeds 1 2 ... 10] > BENCH_<n>.json
 
 PARENT and CHANGE are repository roots.  For every workload and seed the
-script runs ``perfbench/run.py`` untraced once in each checkout, one
-process at a time, with the parent first on odd pairs and the change
-first on even ones.  It then makes one traced run per checkout at the
+script runs ``perfbench/run.py`` untraced once in each checkout, for the
+``run_seconds`` that CHANGE/BENCHMARK.json sets and one process at a
+time, with the parent first on odd pairs and the change first on even
+ones.  The default ten seeds give the ten pairs a claimed gain needs.  It then makes one traced run per checkout at the
 first seed for the per-layer counts.  Standard output is one JSON object
 with, per workload and side, the median and quartiles of every
 end-to-end metric over the seeds, the number of pairs the change won on
@@ -46,24 +47,24 @@ def main(argv=None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workloads", nargs="+", help="default: every workload in BENCHMARK.json")
-    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
-    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--seeds", nargs="+", type=int, default=list(range(1, 11)))
     args = parser.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         bench = json.load(f)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     sides = {"parent": args.parent, "change": args.change}
 
-    out = {"seconds": args.seconds, "seeds": args.seeds,
+    out = {"seconds": seconds, "seeds": args.seeds,
            "python": platform.python_version(), "cpus": os.cpu_count(), "workloads": {}}
     for workload in workloads:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for i, seed in enumerate(args.seeds):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for side in order:
-                runs[side].append(run(sides[side], workload, seed, args.seconds, 0))
+                runs[side].append(run(sides[side], workload, seed, seconds, 0))
         values = {side: {name: [r["metrics"][name]["value"] for r in rs] for name in better}
                   for side, rs in runs.items()}
         wins = {}
@@ -73,7 +74,7 @@ def main(argv=None) -> int:
                              for p, c in zip(values["parent"][name], values["change"][name]))
         traced = {}
         for side, root in sides.items():
-            metrics = run(root, workload, args.seeds[0], args.seconds, 1)["metrics"]
+            metrics = run(root, workload, args.seeds[0], seconds, 1)["metrics"]
             traced[side] = {name: m["value"] for name, m in metrics.items() if m["unit"] == "count"}
         entry = {
             side: {
