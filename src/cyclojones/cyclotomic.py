@@ -2,9 +2,12 @@
 
 Builds Phi_n, its symmetric recentering Phi^sym_n and the alternating
 products Phi~_{2m} (m odd), reduces Laurent polynomials modulo Phi_n
-(their exact values at primitive n-th roots of unity), detects Laurent
+(their exact values at primitive n-th roots of unity), and detects Laurent
 polynomials that are a monomial times a product of cyclotomic
-polynomials, and computes the Mahler measure numerically.
+polynomials.  The cyclotomic exponent sequence P = +-prod (1 - x^d)^e_d
+decides that question and names the factors; exact division by those
+factors alone confirms them.  The Mahler measure of a cyclotomic product
+is exactly 1; other inputs are measured numerically.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 from typing import Optional
 
 import numpy as np
-from sympy import divisors, factorint
+from sympy import divisors, factorint, nextprime
 
 from .errors import InexactDivisionError, InternalInconsistencyError, NumericError
 from .laurent import LaurentPoly, _dense, _fold, _long_division
@@ -119,52 +123,129 @@ class CyclotomicFactorization:
         }
 
 
-def is_cyclotomic_product(p: LaurentPoly) -> Optional[CyclotomicFactorization]:
-    """Factor P as sign * x^a * prod Phi_d^mult, or return None.
+def _index_bound(deg: int) -> int:
+    """An L with n <= L for every n whose totient is at most deg.
 
-    Phi_1 is antipalindromic and every other Phi_d palindromic, so a
-    cyclotomic product is one or the other; P that is neither is rejected
-    before any division.  Otherwise trial-divides by Phi_d for ascending d
-    while phi(d) fits in the remaining degree; d is capped at 2*deg^2,
-    which is safe because phi(d) >= sqrt(d/2).
+    n = phi(n) * prod p/(p - 1) over the primes p dividing n, and
+    prod (p - 1) divides phi(n).  Both factors are largest for the first
+    primes, so L takes them while prod (p - 1) <= deg.
+    """
+    primes_prod = 1
+    totient_prod = 1
+    p = 2
+    while totient_prod * (p - 1) <= deg:
+        primes_prod *= p
+        totient_prod *= p - 1
+        p = nextprime(p)
+    return deg * primes_prod // totient_prod
+
+
+def _exponent_sequence(series: list[int], budget: int) -> Optional[list[int]]:
+    """The e_d with series == prod (1 - x^d)^e_d modulo x^len(series).
+
+    series is ascending with constant term 1, and is overwritten.  Once
+    the factors below d are divided out, e_d is minus the x^d coefficient;
+    (1 - x^d)^e_d is then divided out too, one stride pass per unit of
+    |e_d|.  Returns None as soon as sum |e_d| exceeds budget.
+    """
+    top = len(series)
+    exps = [0] * top
+    used = 0
+    for d in range(1, top):
+        e = -series[d]
+        if not e:
+            continue
+        used += abs(e)
+        if used > budget:
+            return None
+        exps[d] = e
+        for _ in range(e):  # divide by 1 - x^d: a running sum with stride d
+            for start in range(d, top, d):
+                series[start:start + d] = map(add, series[start:start + d], series[start - d:start])
+        for _ in range(-e):  # multiply by 1 - x^d
+            series[d:] = map(sub, series[d:], series[:-d])
+    return exps
+
+
+def _cyclotomic_multiplicities(p: LaurentPoly) -> Optional[list[tuple[int, int]]]:
+    """The (n, m_n) with P == sign * x^a * prod Phi_n^m_n, or None.
+
+    Decided by the exponent sequence alone.  With P shifted to a
+    polynomial of degree D and normalised to constant term 1, a product
+    of Phi_n is exactly prod (1 - x^d)^e_d with m_n = sum of e_d over the
+    multiples d of n, and each such n has phi(n) <= D, so n <= L =
+    _index_bound(D).  The e_d are read from the power series of P modulo
+    x^(L+1); sum |e_d| <= sum m_n 2^omega(n) <= 2D caps the work on other
+    inputs.  If every m_n >= 0 and sum m_n phi(n) == D, that product is a
+    polynomial of degree D <= L agreeing with P/P(0) modulo x^(L+1), so
+    the two are equal: a yes here is a theorem, not a guess.
+    """
+    if p.palindromic_shift() is None and p.antipalindromic_shift() is None:
+        return None  # Phi_1 is antipalindromic and every other Phi_n palindromic
+    coeffs = _dense(p)[1]
+    const = coeffs[0]
+    if coeffs[-1] not in (1, -1) or const not in (1, -1):
+        return None
+    deg = len(coeffs) - 1
+    top = _index_bound(deg) + 1
+    series = [c * const for c in coeffs] + [0] * (top - len(coeffs))
+    exps = _exponent_sequence(series, 2 * deg)
+    if exps is None:
+        return None
+    factors = [(n, m) for n in range(1, top) if (m := sum(exps[n::n]))]
+    if any(m < 0 for _, m in factors) or sum(euler_totient(n) * m for n, m in factors) != deg:
+        return None
+    return factors
+
+
+def is_cyclotomic_product(p: LaurentPoly) -> Optional[CyclotomicFactorization]:
+    """Factor P as sign * x^a * prod Phi_n^mult, or return None.
+
+    The exponent sequence decides and names the factors (see
+    _cyclotomic_multiplicities); exact division then confirms them.  Only
+    the Phi_n it names are built, and each is divided out until it no
+    longer divides, so every multiplicity returned is measured by exact
+    division and the quotient left over must be exactly 1.
     """
     if not p:
         raise ValueError("the zero polynomial is not a cyclotomic product")
-    if p.palindromic_shift() is None and p.antipalindromic_shift() is None:
+    expected = _cyclotomic_multiplicities(p)
+    if expected is None:
         return None
     shift = p.min_exp
-    rem = p.shift(-shift)
-    sign = rem.coeff(rem.max_exp)
-    if sign not in (1, -1):
-        return None
-    if sign == -1:
-        rem = -rem
-    factors: list[tuple[int, int]] = []
-    d = 1
-    while rem != 1:
-        deg = rem.max_exp
-        if deg == 0:
-            return None  # nonunit constant left over
-        if d > 2 * deg * deg:
-            return None
-        if euler_totient(d) <= deg:
-            mult = 0
-            while True:
-                try:
-                    rem = rem.divide_exact(phi(d))
-                except InexactDivisionError:
-                    break
-                mult += 1
-            if mult:
-                factors.append((d, mult))
-        d += 1
+    sign = p.coeff(p.max_exp)
+    rem = p.scale(sign, -shift)
+    factors = []
+    for n, _ in expected:
+        mult = 0
+        while True:
+            try:
+                rem = rem.divide_exact(phi(n))
+            except InexactDivisionError:
+                break
+            mult += 1
+        factors.append((n, mult))
+    if factors != expected or rem != 1:
+        raise InternalInconsistencyError(
+            f"exponent sequence {expected} and exact division {factors} disagree"
+        )
     return CyclotomicFactorization(shift, sign, tuple(factors))
 
 
 def mahler_measure(p: LaurentPoly) -> float:
-    """|lead| * prod max(1, |root|) over the complex roots, numerically."""
+    """|lead| * prod max(1, |root|) over the complex roots.
+
+    Exactly 1.0 for a cyclotomic product, decided by the exponent
+    sequence: its leading coefficient is +-1 and its roots are roots of
+    unity (by Kronecker's theorem these are the only integer polynomials
+    of measure 1 with P(0) != 0).  Any other input is measured
+    numerically from np.roots, whose last digits can vary with the BLAS
+    build and thread count.
+    """
     if not p:
         raise ValueError("Mahler measure of the zero polynomial is undefined")
+    if _cyclotomic_multiplicities(p) is not None:
+        return 1.0
     coeffs = _dense(p)[1][::-1]  # descending for np.roots
     if len(coeffs) == 1:
         return float(abs(coeffs[0]))

@@ -121,7 +121,13 @@ def realized_orders(bound: int) -> list[int]:
 
 
 def open_question_candidates(bound: int) -> list[int]:
-    """Orders N <= bound neither excluded nor already realized."""
+    """Orders N <= bound neither excluded nor realized as 2f(k) or 2g(k).
+
+    "Realized" here means only the orders realized_orders lists.  An
+    order on this list may still be realized by a divisor of some V: 46
+    is listed, yet Phi_46 divides V_W(16,8) = Phi~_322 =
+    Phi_14 * Phi_46 * Phi_322.
+    """
     if bound < 2:
         raise ValueError("bound must be >= 2")
     realized = set(realized_orders(bound))

@@ -1,8 +1,11 @@
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 from sympy import divisors
 
 import cyclojones.cyclotomic
 from cyclojones.cyclotomic import (
+    _index_bound,
     euler_totient,
     is_cyclotomic_product,
     mahler_measure,
@@ -124,6 +127,13 @@ class TestIsCyclotomicProduct:
         for p in inputs:
             assert is_cyclotomic_product(p) is None
 
+    def test_negative_multiplicity_rejected(self):
+        # palindromic with unit ends, and its e_d fit the 2*deg budget; the
+        # m_n they give (m_4 = -1, sum m_n phi(n) = 483 != 24) reject it
+        p = parse_poly("1 - t^9 + t^12 - t^15 + t^24")
+        assert is_cyclotomic_product(p) is None
+        assert mahler_measure(p) > 1.3
+
     def test_negated_shifted_square(self):
         p = (phi(4) * phi(4) * phi(3)).scale(-1, -7)
         fact = is_cyclotomic_product(p)
@@ -140,6 +150,91 @@ class TestIsCyclotomicProduct:
             assert [d for d, _ in fact.factors] == [
                 2 * d for d in divisors(m) if d > 1
             ]
+
+
+    def test_builds_only_the_factors_found(self, monkeypatch):
+        # V_W(16,8) = Phi_14 * Phi_46 * Phi_322, shifted; phi(1) is phi's own seed
+        built = []
+        original = cyclojones.cyclotomic.phi
+
+        def recording(n):
+            built.append(n)
+            return original(n)
+
+        monkeypatch.setattr(cyclojones.cyclotomic, "phi", recording)
+        fact = is_cyclotomic_product(jones_wnk(16, 8))
+        assert fact.factors == ((14, 1), (46, 1), (322, 1))
+        assert {14, 46, 322} <= set(built) <= set(divisors(322))
+
+
+X = sympy.symbols("x")
+
+# sign * x^shift * prod Phi_n^m over a dict {n: m}
+products = st.tuples(
+    st.sampled_from([1, -1]),
+    st.integers(-6, 6),
+    st.dictionaries(st.integers(1, 80), st.integers(1, 3), max_size=4),
+)
+
+
+def _product(sign, shift, mults):
+    out = LaurentPoly.monomial(sign, shift)
+    for n, m in mults.items():
+        for _ in range(m):
+            out = out * phi(n)
+    return out
+
+
+class TestFactoringProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(products)
+    def test_products_factor_to_their_list(self, case):
+        sign, shift, mults = case
+        fact = is_cyclotomic_product(_product(sign, shift, mults))
+        assert fact is not None
+        assert (fact.sign, fact.monomial_shift) == (sign, shift)
+        assert fact.factors == tuple(sorted(mults.items()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(products, st.integers(0, 10**6), st.integers(-2, 2))
+    def test_symmetric_perturbations_agree_with_sympy(self, case, at, c):
+        # factors are kept while the degree stays <= 40, where sympy's
+        # factor_list is quick; c * (x^j + x^(D-j)) keeps a palindrome one
+        sign, _, mults = case
+        small = {}
+        for n, m in mults.items():
+            if sum(euler_totient(i) * k for i, k in small.items()) + euler_totient(n) * m <= 40:
+                small[n] = m
+        q = _product(sign, 0, small)
+        deg = q.max_exp
+        j = at % (deg + 1)
+        p = q + LaurentPoly({j: c}) + LaurentPoly({deg - j: c})
+        assume(p)
+        coeff, irreducibles = sympy.factor_list(
+            sympy.Poly([p.coeff(e) for e in range(p.max_exp, -1, -1)], X)
+        )
+        not_cyclotomic = abs(coeff) != 1 or any(
+            not f.is_cyclotomic and f != sympy.Poly(X, X) for f, _ in irreducibles
+        )
+        assert (is_cyclotomic_product(p) is None) == not_cyclotomic
+
+    def test_index_bound_covers_every_totient_preimage(self):
+        # n / phi(n) < 6 below the primorial 223092870, so phi(n) <= 3000
+        # forces n < 18000
+        limit = 18000
+        tot = list(range(limit + 1))
+        for q in range(2, limit + 1):
+            if tot[q] == q:  # prime
+                for n in range(q, limit + 1, q):
+                    tot[n] -= tot[n] // q
+        largest = [0] * 3001  # largest n with phi(n) == D
+        for n in range(1, limit + 1):
+            if tot[n] <= 3000:
+                largest[tot[n]] = n
+        best = 0
+        for deg in range(1, 3001):
+            best = max(best, largest[deg])  # largest n with phi(n) <= deg
+            assert best <= _index_bound(deg) <= 1.5 * best
 
 
 class TestSpecialCyclotomicValues:
@@ -177,6 +272,11 @@ class TestMahlerMeasure:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             mahler_measure(LaurentPoly.zero())
+
+    def test_cyclotomic_measure_is_exact(self):
+        # degree 576; np.roots gave 1 + 3e-12, digits that depend on the BLAS
+        assert mahler_measure(jones_wnk(32, 16)) == 1.0
+        assert mahler_measure(phi_tilde(49).scale(-1, 5)) == 1.0
 
 
 class TestPhitildeRootExponents:
