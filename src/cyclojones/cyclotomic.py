@@ -82,8 +82,8 @@ def phi_tilde(m: int) -> LaurentPoly:
     """Product of Phi^sym_{2d} over divisors d > 1 of odd m.
 
     Equals the symmetric polynomial with m alternating coefficients
-    +1, -1, ..., +1.  Both forms are computed and compared on every call;
-    a mismatch would mean broken polynomial arithmetic.
+    +1, -1, ..., +1.  Both forms are computed and compared on every cache
+    miss; a mismatch would mean broken polynomial arithmetic.
     """
     if m < 1 or m % 2 == 0:
         raise ValueError("phi_tilde is defined for odd m >= 1")

@@ -13,6 +13,15 @@ The module holds the package's one long division, `_long_division` on
 dense coefficient lists (`_dense` converts; `_fold` reduces modulo
 x^n - 1).  It serves exact division here and, in the cyclotomic module,
 the construction of Phi_n and the exact values modulo Phi_n.
+
+Products take one of two paths, chosen from the operands alone.  The
+schoolbook loop over term pairs serves a product whose smaller operand
+has at most `_KRONECKER_RATIO` terms, or whose term pairs number at most
+`_KRONECKER_RATIO` times the dense length of the result (the sum of the
+spans plus 2), so a sparse operand with a huge span is never made dense.
+Larger products go through `_kronecker_product`: each dense coefficient
+list is packed into one integer with fixed-width slots, and CPython's
+big-integer multiply (Karatsuba) forms the product in one call.
 """
 
 from __future__ import annotations
@@ -164,11 +173,16 @@ class LaurentPoly:
 
     def __mul__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
         other = self._coerce(other)
-        data: dict[int, int] = {}
         # iterate the smaller factor on the outside
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
+        # most products are small and stop at the first comparison
+        if len(a) > _KRONECKER_RATIO and len(a) * len(b) > _KRONECKER_RATIO * (
+            max(a) - min(a) + max(b) - min(b) + 2
+        ):
+            return self._new(_kronecker_product(self, other), self._variable)
+        data: dict[int, int] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = e1 + e2
@@ -277,6 +291,52 @@ def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
     return lo, out
 
 
+# Kronecker takes a product with more than this many term pairs per slot of
+# its dense result: twice the measured break-even with the schoolbook loop.
+_KRONECKER_RATIO = 8
+
+
+def _kronecker_product(p: LaurentPoly, q: LaurentPoly) -> dict[int, int]:
+    """Terms of p*q by Kronecker substitution: one big-int multiply.
+
+    Each dense coefficient list is packed into one int with slots of wb
+    bytes, every slot offset by half = 2^(8*wb - 1) so that it holds a
+    nonnegative number.  No coefficient of the product exceeds
+    bound = min(len p, len q) * max|p| * max|q| in size, and wb is chosen
+    with bound < half, so the product's slots, offset by half again, read
+    back exactly, with no carry between them.
+    """
+    lo_p, cp = _dense(p)
+    lo_q, cq = _dense(q)
+    bound = min(len(p), len(q)) * max(map(abs, cp)) * max(map(abs, cq))
+    wb = bound.bit_length() // 8 + 1
+    half = 1 << (8 * wb - 1)
+    product = _pack(cp, wb, half) * _pack(cq, wb, half)
+    size = len(cp) + len(cq) - 1
+    buf = (product + _offsets(size, wb)).to_bytes(size * wb, "little")
+    from_bytes = int.from_bytes
+    out: dict[int, int] = {}
+    e = lo_p + lo_q
+    for i in range(0, len(buf), wb):
+        c = from_bytes(buf[i:i + wb], "little") - half
+        if c:
+            out[e] = c
+        e += 1
+    return out
+
+
+def _offsets(size: int, wb: int) -> int:
+    """half = 2^(8*wb - 1) in each of size slots of wb bytes."""
+    return int.from_bytes((bytes(wb - 1) + b"\x80") * size, "little")
+
+
+def _pack(coeffs: list[int], wb: int, half: int) -> int:
+    """sum(c_k * 2^(8*wb*k)) for signed c_k with |c_k| < half."""
+    return int.from_bytes(
+        b"".join((c + half).to_bytes(wb, "little") for c in coeffs), "little"
+    ) - _offsets(len(coeffs), wb)
+
+
 def _fold(p: LaurentPoly, n: int) -> list[int]:
     """Ascending coefficients of P modulo x^n - 1, of length n.
 
@@ -318,14 +378,20 @@ def _long_division(num: Iterable[int], den: list[int]) -> tuple[list[int], list[
 
 
 def print_poly(p: LaurentPoly) -> str:
-    """Render with ascending exponents, e.g. "t^-2 - t^-1 + 1 - t + t^2"."""
+    """Render with ascending exponents, e.g. "t^-2 - t^-1 + 1 - t + t^2".
+
+    A nonzero constant A-polynomial prints as "A^0", "-3A^0" and so on,
+    so that it parses back with its tag; the zero polynomial prints as "0"
+    for either tag.
+    """
     if not p:
         return "0"
     var = p.variable
+    constant_a = var == "A" and p._terms.keys() == {0}
     pieces: list[str] = []
     for i, (e, c) in enumerate(p.items()):
         mag = abs(c)
-        if e == 0:
+        if e == 0 and not constant_a:
             body = str(mag)
         else:
             coeff = "" if mag == 1 else str(mag)

@@ -6,7 +6,7 @@ import cyclojones.bracket
 import cyclojones.wnk
 from cyclojones.cli import main
 from cyclojones.cyclotomic import phi_sym
-from cyclojones.laurent import parse_poly, poly_from_json
+from cyclojones.laurent import LaurentPoly, parse_poly, poly_from_json
 
 
 def run(capsys, *argv):
@@ -37,6 +37,11 @@ class TestJonesCommand:
     def test_bracket_variable(self, capsys):
         code, out, _ = run(capsys, "jones", "-n", "0", "-k", "1", "--variable", "A")
         assert code == 0 and out.strip() == "-A^9"
+
+    def test_bracket_variable_constant(self, capsys):
+        code, out, _ = run(capsys, "jones", "-n", "0", "-k", "0", "--variable", "A")
+        assert code == 0 and out.strip() == "A^0"
+        assert parse_poly(out) == LaurentPoly.one("A")
 
     def test_json_roundtrip(self, capsys):
         code, out, _ = run(capsys, "jones", "-n", "1", "-k", "1", "--format", "json")

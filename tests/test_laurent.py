@@ -2,8 +2,9 @@ import cmath
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cyclojones import laurent
 from cyclojones.cyclotomic import euler_totient, residue
 from cyclojones.errors import InexactDivisionError, ParseError, TagError
 from cyclojones.laurent import (
@@ -60,6 +61,95 @@ class TestRingOps:
     @given(small_polys)
     def test_additive_inverse(self, a):
         assert a + (-a) == LaurentPoly.zero()
+
+
+def schoolbook(p, q):
+    """Reference product over every term pair, zero coefficients dropped."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def wide_polys(draw, variable):
+    """0 to 300 terms filling all down to 1/64 of their span, at stride 4
+    for A (as brackets are), from a start of either sign, with
+    coefficients up to 2^200 in size."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 300))
+    fill = draw(st.sampled_from([1, 2, 8, 64]))
+    bits = draw(st.sampled_from([1, 2, 8, 31, 64, 200]))
+    stride = 4 if variable == "A" else 1
+    start = draw(st.integers(-1000, 1000))
+    slots = rng.sample(range(n * fill), n)
+    return LaurentPoly(
+        {start + stride * j: rng.randint(-(2**bits), 2**bits) for j in slots}, variable
+    )
+
+
+@st.composite
+def product_operands(draw):
+    """Two operands of one tag, on either side of the Kronecker gate; with
+    cancel set, c*(1 + x^s + ... + x^(s(m-1))) and (1 - x^s)*h, whose
+    product c*(1 - x^(sm))*h has a run of zero coefficients."""
+    variable = draw(st.sampled_from(VARIABLES))
+    if not draw(st.booleans()):
+        return draw(wide_polys(variable)), draw(wide_polys(variable))
+    s = 4 if variable == "A" else 1
+    m = draw(st.integers(9, 300))
+    c = draw(st.integers(1, 2**200))
+    h = draw(wide_polys(variable))
+    a = LaurentPoly({s * i: c for i in range(m)}, variable)
+    return a, LaurentPoly(schoolbook(LaurentPoly({0: 1, s: -1}, variable), h), variable)
+
+
+class TestProducts:
+    @settings(max_examples=60, deadline=None)
+    @given(product_operands(), st.integers(-(2**200), 2**200))
+    def test_matches_schoolbook(self, operands, k):
+        a, b = operands
+        expected = schoolbook(a, b)
+        for product in (a * b, b * a):
+            assert product.variable == a.variable
+            assert dict(product.items()) == expected
+            assert all(c for _, c in product.items())
+        constant = LaurentPoly({0: k}, a.variable)
+        for product in (a * k, k * a):
+            assert product.variable == a.variable
+            assert dict(product.items()) == schoolbook(a, constant)
+
+    @pytest.mark.parametrize("n", [20, 64])
+    def test_extreme_coefficients(self, n):
+        # the middle coefficient of c*(1 + ... + x^(n-1)) squared reaches
+        # the slot bound n*c^2 exactly; every bound size mod 8 is drawn
+        for bits in range(1, 41):
+            c = 2**bits - 1
+            ones = LaurentPoly({e: c for e in range(n)})
+            alternating = LaurentPoly({e: (-1) ** e * c for e in range(n)})
+            for p, q in ((ones, ones), (ones, -ones), (alternating, alternating)):
+                assert dict((p * q).items()) == schoolbook(p, q)
+
+    def test_dense_operands_take_kronecker(self, monkeypatch):
+        calls = []
+        kronecker = laurent._kronecker_product
+        monkeypatch.setattr(
+            laurent, "_kronecker_product", lambda p, q: calls.append(1) or kronecker(p, q)
+        )
+        dense = LaurentPoly({e: e + 1 for e in range(-200, 200)})
+        assert dict((dense * dense).items()) == schoolbook(dense, dense)
+        assert calls
+
+    def test_wide_sparse_operand_stays_schoolbook(self, monkeypatch):
+        def refuse(p, q):
+            raise AssertionError("a sparse operand was made dense")
+
+        monkeypatch.setattr(laurent, "_kronecker_product", refuse)
+        dense = LaurentPoly({e: e + 1 for e in range(-200, 200)})
+        wide = LaurentPoly({-(10**6): 1, 0: -1})
+        expected = dense.shift(-(10**6)) - dense
+        assert wide * dense == expected and dense * wide == expected
 
 
 class TestHash:
@@ -292,9 +382,18 @@ class TestTextAndJson:
         p = parse_poly("-A^9")
         assert p.variable == "A" and p == LaurentPoly({9: -1}, "A")
 
-    @given(small_polys)
+    @given(
+        st.builds(
+            LaurentPoly,
+            st.dictionaries(st.integers(-5, 5), st.integers(-9, 9), max_size=6),
+            st.sampled_from(VARIABLES),
+        )
+    )
+    @example(LaurentPoly.one("A"))
+    @example(LaurentPoly({0: -3}, "A"))
     def test_print_parse_roundtrip(self, p):
-        assert parse_poly(print_poly(p)) == p
+        # the zero polynomial prints as "0", which reads back as t
+        assert parse_poly(print_poly(p)) == (p if p else LaurentPoly.zero())
 
     @given(small_polys)
     def test_json_roundtrip(self, p):
