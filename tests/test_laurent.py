@@ -91,11 +91,12 @@ def wide_polys(draw, variable):
 
 @st.composite
 def product_operands(draw):
-    """Two operands of one tag, on either side of the Kronecker gate; with
-    cancel set, c*(1 + x^s + ... + x^(s(m-1))) and (1 - x^s)*h, whose
+    """Two operands of one tag, on either side of the Kronecker gate; when
+    cancelling, c*(1 + x^s + ... + x^(s(m-1))) and (1 - x^s)*h, whose
     product c*(1 - x^(sm))*h has a run of zero coefficients."""
     variable = draw(st.sampled_from(VARIABLES))
-    if not draw(st.booleans()):
+    cancelling = draw(st.booleans())
+    if not cancelling:
         return draw(wide_polys(variable)), draw(wide_polys(variable))
     s = 4 if variable == "A" else 1
     m = draw(st.integers(9, 300))
