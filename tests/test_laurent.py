@@ -335,7 +335,10 @@ GRAMMAR = [
     ("t^+3 - 2", None, LaurentPoly({3: 1, 0: -2})),
     ("A^-2", None, LaurentPoly({-2: 1}, "A")),
     ("7", None, LaurentPoly({0: 7})),
-    ("7", "A", LaurentPoly({0: 7}, "A")),
+    # a fixed id, so the case name does not follow the "7A^0" print form
+    pytest.param(
+        "7", "A", LaurentPoly({0: 7}, "A"), id="'7'-'A'-LaurentPoly(7, variable='A')"
+    ),
     ("", None, ("empty polynomial", 0)),
     (" \t", None, ("empty polynomial", 2)),
     ("t 2", None, ("expected '+' or '-' between terms", 2)),
