@@ -18,11 +18,9 @@ from functools import lru_cache
 from operator import add, sub
 from typing import Optional
 
-import numpy as np
-from sympy import divisors, factorint, nextprime
-
+from .arith import SMALL_PRIMES, divisors, factorint
 from .errors import InexactDivisionError, InternalInconsistencyError, NumericError
-from .laurent import LaurentPoly, _dense, _fold, _long_division
+from .laurent import MAX_TERMS, LaurentPoly, _dense, _fold, _long_division
 
 
 @lru_cache(maxsize=None)
@@ -44,10 +42,16 @@ def phi(n: int) -> LaurentPoly:
     Phi_{mp}(x) = Phi_m(x^p)/Phi_m(x); non-squarefree n reduces to its
     radical via Phi_n(x) = Phi_rad(n)(x^(n/rad(n))).  The first step is
     LaurentPoly.divide_exact, the package's one long division, so
-    coefficients never leave the integers.
+    coefficients never leave the integers.  An n whose Phi_n would have
+    more than MAX_TERMS terms is refused before anything is built; as
+    phi(n) >= sqrt(n/2), n > 2 * MAX_TERMS^2 is refused before factoring.
     """
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
+    if n > 2 * MAX_TERMS**2 or euler_totient(n) > MAX_TERMS:
+        raise ValueError(
+            f"Phi_{n} has degree phi({n}) > {MAX_TERMS}, over the term budget"
+        )
     if n == 1:
         return LaurentPoly({1: 1, 0: -1})
     primes = sorted(factorint(n))
@@ -83,10 +87,13 @@ def phi_tilde(m: int) -> LaurentPoly:
 
     Equals the symmetric polynomial with m alternating coefficients
     +1, -1, ..., +1.  Both forms are computed and compared on every cache
-    miss; a mismatch would mean broken polynomial arithmetic.
+    miss; a mismatch would mean broken polynomial arithmetic.  It has m
+    terms, so m > MAX_TERMS is refused before anything is built.
     """
     if m < 1 or m % 2 == 0:
         raise ValueError("phi_tilde is defined for odd m >= 1")
+    if m > MAX_TERMS:
+        raise ValueError(f"phi_tilde({m}) has {m} terms, over the budget of {MAX_TERMS} terms")
     product = LaurentPoly.one()
     for d in divisors(m):
         if d > 1:
@@ -128,15 +135,16 @@ def _index_bound(deg: int) -> int:
 
     n = phi(n) * prod p/(p - 1) over the primes p dividing n, and
     prod (p - 1) divides phi(n).  Both factors are largest for the first
-    primes, so L takes them while prod (p - 1) <= deg.
+    primes, so L takes them while prod (p - 1) <= deg.  The primes below
+    1000 suffice for any degree below 10^400.
     """
     primes_prod = 1
     totient_prod = 1
-    p = 2
-    while totient_prod * (p - 1) <= deg:
+    for p in SMALL_PRIMES:
+        if totient_prod * (p - 1) > deg:
+            break
         primes_prod *= p
         totient_prod *= p - 1
-        p = nextprime(p)
     return deg * primes_prod // totient_prod
 
 
@@ -240,7 +248,7 @@ def mahler_measure(p: LaurentPoly) -> float:
     unity (by Kronecker's theorem these are the only integer polynomials
     of measure 1 with P(0) != 0).  Any other input is measured
     numerically from np.roots, whose last digits can vary with the BLAS
-    build and thread count.
+    build and thread count; numpy is imported there, on first use.
     """
     if not p:
         raise ValueError("Mahler measure of the zero polynomial is undefined")
@@ -249,6 +257,8 @@ def mahler_measure(p: LaurentPoly) -> float:
     coeffs = _dense(p)[1][::-1]  # descending for np.roots
     if len(coeffs) == 1:
         return float(abs(coeffs[0]))
+    import numpy as np
+
     try:
         roots = np.roots(coeffs)
     except np.linalg.LinAlgError as exc:

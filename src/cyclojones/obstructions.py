@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from sympy import factorint, integer_log
-
+from .arith import factorint
 from .cyclotomic import residue
-from .laurent import LaurentPoly
+from .laurent import MAX_TERMS, LaurentPoly
 from .wnk import f, g
 
 
@@ -63,8 +62,11 @@ def special_value_check(p: LaurentPoly) -> SpecialValueReport:
     a, b = residue(p, 6)
     zeta6_exp = None
     if a and b in (0, -2 * a):
-        j, exact = integer_log(abs(a), 3)
-        if exact:
+        j, rest = 0, abs(a)
+        while rest % 3 == 0:
+            rest //= 3
+            j += 1
+        if rest == 1:
             zeta6_exp = 2 * j + (b != 0)
     return SpecialValueReport(at_one, deriv, zeta3_ok, at_i, zeta6_exp)
 
@@ -102,14 +104,21 @@ def phitilde_admissible(k: int) -> bool:
     return k % 3 != 0
 
 
+def _check_bound(bound: int) -> None:
+    """ValueError unless 2 <= bound <= MAX_TERMS."""
+    if bound < 2:
+        raise ValueError("bound must be >= 2")
+    if bound > MAX_TERMS:
+        raise ValueError(f"bound {bound} is over the budget of {MAX_TERMS}")
+
+
 def realized_orders(bound: int) -> list[int]:
     """Orders 2m <= bound with Phi_{2m} realized as a Jones-polynomial divisor.
 
     These are 2f(k) and 2g(k) for k >= 2; k = 1 gives the trivial product
     and is skipped.
     """
-    if bound < 2:
-        raise ValueError("bound must be >= 2")
+    _check_bound(bound)
     out = set()
     k = 2
     while 2 * f(k) <= bound or 2 * g(k) <= bound:
@@ -128,8 +137,7 @@ def open_question_candidates(bound: int) -> list[int]:
     is listed, yet Phi_46 divides V_W(16,8) = Phi~_322 =
     Phi_14 * Phi_46 * Phi_322.
     """
-    if bound < 2:
-        raise ValueError("bound must be >= 2")
+    _check_bound(bound)
     realized = set(realized_orders(bound))
     return [
         n

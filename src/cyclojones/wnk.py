@@ -13,17 +13,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from sympy import isprime
-
+from .arith import isprime
 from .cyclotomic import phi_sym, phi_tilde
 from .errors import InternalInconsistencyError
-from .laurent import LaurentPoly, poly_to_json
+from .laurent import MAX_TERMS, LaurentPoly, poly_to_json
 
 T2_MINUS_1 = LaurentPoly({2: 1, 0: -1})
-
-# Term budget: jones_wnk refuses a closed-form numerator of wider span,
-# and mersenne_knot a Phi^sym_{2N} of more terms (N = 2^p - 1).
-MAX_TERMS = 2**20
 
 
 class FamilyParams(NamedTuple):

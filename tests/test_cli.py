@@ -207,6 +207,23 @@ class TestUsage:
     def test_missing_option_exits_1(self, capsys):
         assert run(capsys, "jones", "-n", "1")[0] == 1
 
+    # over-budget inputs are refused before anything is built
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phi", "9699690"],
+            ["phi", "9699690", "--sym"],
+            ["phi", str(2**41 + 1)],
+            ["phitilde", "-m", "4000001"],
+            ["obstruct", "--max", "100000000"],
+        ],
+        ids=" ".join,
+    )
+    def test_over_budget_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert err.startswith("error: ") and "budget" in err
+
     # out-of-range values are rejected by the library; the CLI reports them
     @pytest.mark.parametrize(
         "argv",

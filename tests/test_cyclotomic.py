@@ -14,7 +14,7 @@ from cyclojones.cyclotomic import (
     phi_tilde,
     phitilde_root_exponents,
 )
-from cyclojones.laurent import LaurentPoly, parse_poly
+from cyclojones.laurent import MAX_TERMS, LaurentPoly, parse_poly
 from cyclojones.wnk import jones_wnk
 
 
@@ -55,6 +55,23 @@ class TestPhi:
         for n in range(1, 120):
             assert phi(n).max_exp == euler_totient(n)
 
+    def test_budget_boundary(self):
+        # phi(2^21) = MAX_TERMS: built; phi(2^22) is twice that: refused
+        assert phi(2**21) == LaurentPoly({2**20: 1, 0: 1})
+        for build in (phi, phi_sym):
+            with pytest.raises(ValueError, match="budget"):
+                build(2**22)
+        with pytest.raises(ValueError, match="budget"):
+            phi(9699690)  # 2*3*5*...*19, degree 1658880
+
+    def test_huge_index_refused_before_factoring(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factorint({n}) was called")
+
+        monkeypatch.setattr(cyclojones.cyclotomic, "factorint", refuse)
+        with pytest.raises(ValueError, match="budget"):
+            phi(2 * MAX_TERMS**2 + 1)
+
     @pytest.mark.parametrize("n", list(range(1, 301)))
     def test_divisor_product_identity(self, n):
         product = LaurentPoly.one()
@@ -91,6 +108,19 @@ class TestPhiTilde:
     def test_even_m_rejected(self):
         with pytest.raises(ValueError):
             phi_tilde(4)
+
+    def test_budget(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(m):
+            raise Reached
+
+        monkeypatch.setattr(cyclojones.cyclotomic, "divisors", reached)
+        with pytest.raises(ValueError, match="budget"):
+            phi_tilde(MAX_TERMS + 1)
+        with pytest.raises(Reached):
+            phi_tilde(MAX_TERMS - 1)
 
     def test_product_identity_over_odd_m(self):
         # phi_tilde(m) * (t+1) * t^((m-1)/2) == t^m + 1

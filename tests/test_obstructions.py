@@ -1,7 +1,7 @@
 import pytest
 
 from cyclojones.cyclotomic import phi, phi_sym
-from cyclojones.laurent import LaurentPoly
+from cyclojones.laurent import MAX_TERMS, LaurentPoly
 from cyclojones.obstructions import (
     excluded_phi_index,
     open_question_candidates,
@@ -122,6 +122,12 @@ class TestRealizedOrders:
 
     def test_below_first(self):
         assert realized_orders(9) == []
+
+    def test_budget(self):
+        assert realized_orders(MAX_TERMS)[-1] <= MAX_TERMS
+        for listing in (realized_orders, open_question_candidates):
+            with pytest.raises(ValueError, match="budget"):
+                listing(MAX_TERMS + 1)
 
 
 class TestOpenQuestionCandidates:
