@@ -1,10 +1,11 @@
 """Integer arithmetic on the package's indices: primality, factoring, divisors.
 
 The cyclotomic indices n, the orders 2f(k), 2g(k) and the Mersenne
-candidates 2^p - 1 are small integers, so three functions cover what the
-package needs.  `isprime` is Miller-Rabin with the first 13 primes as
-bases, which is deterministic below PRIME_TEST_LIMIT (Sorenson and
-Webster, Math. Comp. 2017) and refuses larger inputs.  `factorint`
+candidates 2^p - 1 are small integers, so four functions cover what the
+package needs.  `primes_below` sieves a bytearray.  `isprime` is
+Miller-Rabin with the first 13 primes as bases, which is deterministic
+below PRIME_TEST_LIMIT (Sorenson and Webster, Math. Comp. 2017) and
+refuses larger inputs.  `factorint`
 divides out the primes below 1000, tests the cofactor with `isprime`,
 and splits a composite cofactor with Pollard-Brent rho, so a large prime
 or a product of two large primes costs milliseconds, not a trial
@@ -13,6 +14,7 @@ division up to its square root.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, isqrt
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -21,16 +23,17 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_LIMIT = 3317044064679887385961981
 
 
-def _primes_below(n: int) -> tuple[int, ...]:
+def primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n >= 2, ascending: a sieve of Eratosthenes on a bytearray."""
     sieve = bytearray([1]) * n
     sieve[:2] = b"\0\0"
     for p in range(2, isqrt(n - 1) + 1):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, n, p)))
-    return tuple(p for p in range(n) if sieve[p])
+    return tuple(compress(range(n), sieve))
 
 
-SMALL_PRIMES = _primes_below(1000)
+SMALL_PRIMES = primes_below(1000)
 
 
 def isprime(n: int) -> bool:

@@ -25,7 +25,14 @@ from dataclasses import dataclass, field
 
 from .errors import InternalInconsistencyError, TagError
 from .laurent import LaurentPoly
-from .wnk import MAX_TERMS, _check_span, d_exponents, jones_wnk, writhe_wnk
+from .wnk import (
+    MAX_TERMS,
+    _check_span,
+    _quotient_one_minus_t2,
+    d_exponents,
+    jones_wnk,
+    writhe_wnk,
+)
 
 _A_KINK = LaurentPoly({-1: 1, 3: -1}, "A")  # A^-1 - A^3
 
@@ -37,8 +44,7 @@ def torus_jones(p: int, q: int) -> LaurentPoly:
     if math.gcd(p, q) != 1:
         raise ValueError(f"({p},{q}) is not coprime")
     numerator = LaurentPoly([(0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)])
-    denominator = LaurentPoly({0: 1, 2: -1})  # 1 - t^2
-    return numerator.divide_exact(denominator).shift((p - 1) * (q - 1) // 2)
+    return _quotient_one_minus_t2(numerator, (p - 1) * (q - 1) // 2, f"T({p},{q})")
 
 
 def bracket_wnk_base(n: int) -> LaurentPoly:

@@ -15,12 +15,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, sub
+from itertools import repeat
 from typing import Optional
 
 from .arith import SMALL_PRIMES, divisors, factorint
 from .errors import InexactDivisionError, InternalInconsistencyError, NumericError
-from .laurent import MAX_TERMS, LaurentPoly, _dense, _fold, _long_division
+from .laurent import (
+    MAX_TERMS,
+    LaurentPoly,
+    _dense,
+    _fold,
+    _from_dense,
+    _long_division,
+    _stride_div,
+    _stride_mul,
+)
 
 
 @lru_cache(maxsize=None)
@@ -38,13 +47,17 @@ def euler_totient(n: int) -> int:
 def phi(n: int) -> LaurentPoly:
     """The n-th cyclotomic polynomial, exact, degree phi(n).
 
-    Squarefree n is built one prime at a time through
-    Phi_{mp}(x) = Phi_m(x^p)/Phi_m(x); non-squarefree n reduces to its
-    radical via Phi_n(x) = Phi_rad(n)(x^(n/rad(n))).  The first step is
-    LaurentPoly.divide_exact, the package's one long division, so
-    coefficients never leave the integers.  An n whose Phi_n would have
-    more than MAX_TERMS terms is refused before anything is built; as
-    phi(n) >= sqrt(n/2), n > 2 * MAX_TERMS^2 is refused before factoring.
+    Squarefree n > 1 is built as the Moebius product
+    Phi_n = prod over d | n of (1 - x^d)^mu(n/d) on one dense coefficient
+    list: the factors with mu = +1 multiply it, then the factors with
+    mu = -1, largest d first, divide it exactly.  Each division checks its
+    remainder (the top d entries of its running sum), so a wrong factor
+    raises InexactDivisionError rather than giving a wrong Phi_n, and
+    coefficients never leave the integers.  Non-squarefree n reduces to
+    its radical via Phi_n(x) = Phi_rad(n)(x^(n/rad(n))).  An n whose Phi_n
+    would have more than MAX_TERMS terms is refused before anything is
+    built; as phi(n) >= sqrt(n/2), n > 2 * MAX_TERMS^2 is refused before
+    factoring.
     """
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
@@ -58,10 +71,17 @@ def phi(n: int) -> LaurentPoly:
     radical = math.prod(primes)
     if radical != n:
         return phi(radical).substitute_power(n // radical)
-    out = phi(1)
+    # mu(n/d) = mu(n) * mu(d) for squarefree n
+    signed = [(1, (-1) ** len(primes))]
     for p in primes:
-        out = out.substitute_power(p).divide_exact(out)
-    return out
+        signed += [(d * p, -mu) for d, mu in signed]
+    s = [1]
+    for d in sorted(d for d, mu in signed if mu > 0):
+        s.extend(repeat(0, d))
+        _stride_mul(s, d)
+    for d in sorted((d for d, mu in signed if mu < 0), reverse=True):
+        _stride_div(s, d)
+    return _from_dense(0, s)
 
 
 def residue(p: LaurentPoly, n: int) -> tuple[int, ...]:
@@ -167,11 +187,10 @@ def _exponent_sequence(series: list[int], budget: int) -> Optional[list[int]]:
         if used > budget:
             return None
         exps[d] = e
-        for _ in range(e):  # divide by 1 - x^d: a running sum with stride d
-            for start in range(d, top, d):
-                series[start:start + d] = map(add, series[start:start + d], series[start - d:start])
-        for _ in range(-e):  # multiply by 1 - x^d
-            series[d:] = map(sub, series[d:], series[:-d])
+        for _ in range(e):
+            _stride_div(series, d, exact=False)
+        for _ in range(-e):
+            _stride_mul(series, d)
     return exps
 
 

@@ -10,9 +10,17 @@ A-world values cannot be combined silently.
 Values are immutable; every operation returns a fresh polynomial.
 
 The module holds the package's one long division, `_long_division` on
-dense coefficient lists (`_dense` converts; `_fold` reduces modulo
-x^n - 1).  It serves exact division here and, in the cyclotomic module,
-the construction of Phi_n and the exact values modulo Phi_n.
+dense coefficient lists (`_dense` and `_from_dense` convert; `_fold`
+reduces modulo x^n - 1).  It serves exact division here and, in the
+cyclotomic module, the exact values modulo Phi_n.
+
+Every cyclotomic object in the package is a product of factors
+(1 - x^d)^(+-1), so one stride kernel on dense lists serves them:
+`_stride_mul` multiplies by 1 - x^d (a shifted subtraction) and
+`_stride_div` divides by it (a running sum with stride d), exactly, with
+the top d entries checked as the remainder, or as a power series.  It
+builds Phi_n as a Moebius product, takes the closed forms' quotients by
+1 - t^2 and reads the cyclotomic exponent sequence.
 
 Products take one of two paths, chosen from the operands alone.  The
 schoolbook loop over term pairs serves a product whose smaller operand
@@ -28,6 +36,8 @@ from __future__ import annotations
 
 import cmath
 import re
+from itertools import accumulate, compress, count
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import InexactDivisionError, ParseError, TagError
@@ -237,7 +247,7 @@ class LaurentPoly:
         quot, rem = _long_division(num, den)
         if any(rem):
             raise InexactDivisionError("division left a remainder")
-        return self._new({e + a - b: c for e, c in enumerate(quot) if c}, self._variable)
+        return _from_dense(a - b, quot, self._variable)
 
     # -- symmetry predicates -----------------------------------------------
 
@@ -270,7 +280,7 @@ class LaurentPoly:
     def value_and_derivative_at_one(self) -> tuple[int, int]:
         """(P(1), P'(1)) by exact summation."""
         value = sum(self._terms.values())
-        deriv = sum(e * c for e, c in self._terms.items())
+        deriv = sum(map(mul, self._terms, self._terms.values()))
         return value, deriv
 
     # -- evaluation --------------------------------------------------------
@@ -295,6 +305,11 @@ def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
     for e, c in p._terms.items():
         out[e - lo] = c
     return lo, out
+
+
+def _from_dense(lo: int, coeffs: list[int], variable: str = "t") -> LaurentPoly:
+    """The polynomial with ascending coefficients coeffs from exponent lo on."""
+    return LaurentPoly._new(dict(compress(zip(count(lo), coeffs), coeffs)), variable)
 
 
 # Kronecker takes a product with more than this many term pairs per slot of
@@ -352,6 +367,43 @@ def _fold(p: LaurentPoly, n: int) -> list[int]:
     for e, c in p._terms.items():
         out[e % n] += c
     return out
+
+
+# A stride division takes one accumulate per residue class once the classes
+# hold at least this many entries, and blocks of d entries below: the
+# measured break-even lies between 10 and 30.
+_STRIDE_CLASS_MIN = 16
+
+
+def _stride_mul(s: list[int], d: int) -> None:
+    """s *= 1 - x^d in place, modulo x^len(s): one shifted subtraction.
+
+    Extend s by d zeros first for the full product.
+    """
+    s[d:] = map(sub, s[d:], s[:-d])
+
+
+def _stride_div(s: list[int], d: int, exact: bool = True) -> None:
+    """s /= 1 - x^d in place: a running sum with stride d.
+
+    As a power series (exact=False) the quotient modulo x^len(s) is left
+    in s.  With exact=True, s is a polynomial and its top d entries are
+    the remainder: the running sum continues past the quotient's degree
+    only through them, so all are zero exactly when 1 - x^d divides s.
+    A nonzero one raises InexactDivisionError; otherwise they are dropped,
+    leaving the quotient.
+    """
+    n = len(s)
+    if n >= _STRIDE_CLASS_MIN * d:
+        for r in range(d):
+            s[r::d] = accumulate(s[r::d])
+    else:
+        for start in range(d, n, d):
+            s[start:start + d] = map(add, s[start:start + d], s[start - d:start])
+    if exact:
+        if any(s[-d:]):
+            raise InexactDivisionError(f"division by 1 - x^{d} left a remainder")
+        del s[-d:]
 
 
 def _long_division(num: Iterable[int], den: list[int]) -> tuple[list[int], list[int]]:

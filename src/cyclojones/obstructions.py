@@ -10,9 +10,10 @@ exponent s follows in closed form from a and b.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
-from .arith import factorint
+from .arith import factorint, primes_below
 from .cyclotomic import residue
 from .laurent import MAX_TERMS, LaurentPoly
 from .wnk import f, g
@@ -135,12 +136,23 @@ def open_question_candidates(bound: int) -> list[int]:
     "Realized" here means only the orders realized_orders lists.  An
     order on this list may still be realized by a divisor of some V: 46
     is listed, yet Phi_46 divides V_W(16,8) = Phi~_322 =
-    Phi_14 * Phi_46 * Phi_322.
+    Phi_14 * Phi_46 * Phi_322.  The excluded orders are those of
+    excluded_phi_index, found by one prime sieve up to the bound: each
+    prime power q = p^k (and q = 1) closes q, 3q, 4q and, for p != 3, 6q.
     """
     _check_bound(bound)
-    realized = set(realized_orders(bound))
-    return [
-        n
-        for n in range(2, bound + 1)
-        if not excluded_phi_index(n) and n not in realized
-    ]
+    candidate = bytearray([1]) * (bound + 1)
+    candidate[0] = 0
+    shapes = [(1, False)]  # (q, whether q is a positive power of 3)
+    for p in primes_below(bound + 1):
+        q = p
+        while q <= bound:
+            shapes.append((q, p == 3))
+            q *= p
+    for q, power_of_three in shapes:
+        for base in (1, 3, 4) if power_of_three else (1, 3, 4, 6):
+            if base * q <= bound:
+                candidate[base * q] = 0
+    for order in realized_orders(bound):
+        candidate[order] = 0
+    return list(compress(range(bound + 1), candidate))

@@ -15,10 +15,8 @@ from typing import NamedTuple, Optional
 
 from .arith import isprime
 from .cyclotomic import phi_sym, phi_tilde
-from .errors import InternalInconsistencyError
-from .laurent import MAX_TERMS, LaurentPoly, poly_to_json
-
-T2_MINUS_1 = LaurentPoly({2: 1, 0: -1})
+from .errors import InexactDivisionError, InternalInconsistencyError
+from .laurent import MAX_TERMS, LaurentPoly, _dense, _from_dense, _stride_div, poly_to_json
 
 
 class FamilyParams(NamedTuple):
@@ -93,6 +91,23 @@ def _check_span(n: int, k: int) -> LaurentPoly:
     return d
 
 
+def _quotient_one_minus_t2(numerator: LaurentPoly, shift: int, name: str) -> LaurentPoly:
+    """t^shift * numerator / (1 - t^2), by one stride division.
+
+    Every closed form divided here is divisible by a theorem, so the two
+    remainder entries of the running sum must be zero; a nonzero one
+    raises InternalInconsistencyError naming `name`.
+    """
+    lo, s = _dense(numerator)
+    try:
+        _stride_div(s, 2)
+    except InexactDivisionError as exc:
+        raise InternalInconsistencyError(
+            f"{name}: closed-form numerator not divisible by 1 - t^2"
+        ) from exc
+    return _from_dense(lo + shift, s, numerator.variable)
+
+
 def jones_wnk(n: int, k: int) -> LaurentPoly:
     """Jones polynomial of W(n,k) by the closed form.
 
@@ -103,12 +118,8 @@ def jones_wnk(n: int, k: int) -> LaurentPoly:
     """
     d = _check_span(n, k)
     prefactor_exp = n * (n - 1) // 2 + k * (k - 1) - 2 * n * k
-    try:
-        v = d.divide_exact(T2_MINUS_1).shift(prefactor_exp)
-    except Exception as exc:
-        raise InternalInconsistencyError(
-            f"W({n},{k}): closed-form numerator not divisible by t^2 - 1"
-        ) from exc
+    # d / (t^2 - 1) == -d / (1 - t^2)
+    v = _quotient_one_minus_t2(-d, prefactor_exp, f"W({n},{k})")
     value, deriv = v.value_and_derivative_at_one()
     if value != 1 or deriv != 0:
         raise InternalInconsistencyError(

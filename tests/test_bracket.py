@@ -1,6 +1,7 @@
 import pytest
 
 import cyclojones.bracket
+import cyclojones.wnk
 from cyclojones.bracket import (
     BracketLevel,
     bracket_levels,
@@ -13,7 +14,7 @@ from cyclojones.bracket import (
     torus_jones,
     verify_range,
 )
-from cyclojones.errors import InternalInconsistencyError, TagError
+from cyclojones.errors import InexactDivisionError, InternalInconsistencyError, TagError
 from cyclojones.laurent import LaurentPoly, parse_poly
 from cyclojones.wnk import jones_wnk
 
@@ -188,10 +189,10 @@ class TestBracketWnk:
 
     def test_k_zero_refuses_what_jones_refuses(self, monkeypatch):
         # jones_wnk reaches the division only for a cell inside the budget
-        def stop(self, divisor):
-            raise RuntimeError("divide_exact reached")
+        def stop(s, d):
+            raise InexactDivisionError("the stride division was reached")
 
-        monkeypatch.setattr(LaurentPoly, "divide_exact", stop)
+        monkeypatch.setattr(cyclojones.wnk, "_stride_div", stop)
         monkeypatch.setattr(cyclojones.bracket, "bracket_wnk_base", lambda n: "built")
         for n in (2**19 - 1, 2**19, -(2**19) + 1, -(2**19), -(2**19) - 1):
             try:

@@ -29,6 +29,12 @@ class TestJonesCommand:
         code, out, _ = run(capsys, "jones", "-n", "2", "-k", "0")
         assert code == 0 and out.strip() == "t + t^3 - t^4"
 
+    def test_planted_numerator_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cyclojones.wnk, "d_exponents", lambda n, k: (7, 4, 3, 2, 1, 0))
+        code, _, err = run(capsys, "jones", "-n", "3", "-k", "1")
+        assert code == 2
+        assert "not divisible by 1 - t^2" in err
+
     def test_negative_n(self, capsys):
         code, out, _ = run(capsys, "jones", "-n", "-4", "-k", "2")
         assert code == 0

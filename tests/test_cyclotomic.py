@@ -22,6 +22,11 @@ def t_power_minus_one(n):
     return LaurentPoly({n: 1, 0: -1})
 
 
+def _squarefree_with_four_primes(n):
+    exponents = sympy.factorint(n).values()
+    return len(exponents) >= 4 and max(exponents) == 1
+
+
 class TestTotient:
     def test_one(self):
         assert euler_totient(1) == 1
@@ -71,6 +76,21 @@ class TestPhi:
         monkeypatch.setattr(cyclojones.cyclotomic, "factorint", refuse)
         with pytest.raises(ValueError, match="budget"):
             phi(2 * MAX_TERMS**2 + 1)
+
+    # sympy's own construction is quadratic in the degree (about 100 s for
+    # every n <= 3000), so the oracle covers n <= 400, every squarefree
+    # n <= 3000 with four or more primes (the most Moebius factors), and
+    # 30030 = 2*3*5*7*11*13.
+    @pytest.mark.parametrize(
+        "n",
+        list(range(1, 401))
+        + [n for n in range(401, 3001) if _squarefree_with_four_primes(n)]
+        + [30030],
+    )
+    def test_matches_sympy(self, n):
+        x = sympy.Symbol("x")
+        coeffs = sympy.cyclotomic_poly(n, x, polys=True).all_coeffs()[::-1]
+        assert phi(n) == LaurentPoly(enumerate(map(int, coeffs)))
 
     @pytest.mark.parametrize("n", list(range(1, 301)))
     def test_divisor_product_identity(self, n):

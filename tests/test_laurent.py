@@ -232,6 +232,57 @@ class TestDivideExact:
         assert r * q == p
 
 
+@st.composite
+def stride_dividends(draw):
+    """(coefficients, d): a multiple of 1 - x^d or, half the time, any list."""
+    d = draw(st.integers(1, 40))
+    coeffs = draw(st.lists(st.integers(-50, 50), max_size=200))
+    if draw(st.booleans()):
+        num = coeffs + [0] * d
+        for i, c in enumerate(coeffs):
+            num[i + d] -= c
+        coeffs = num
+    return coeffs, d
+
+
+class TestStrideKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(stride_dividends())
+    def test_exact_division_matches_long_division(self, case):
+        coeffs, d = case
+        quot, rem = laurent._long_division(coeffs, [1] + [0] * (d - 1) + [-1])
+        s = list(coeffs)
+        if any(rem):
+            with pytest.raises(InexactDivisionError):
+                laurent._stride_div(s, d)
+        else:
+            laurent._stride_div(s, d)
+            assert s == quot
+
+    @given(st.lists(st.integers(-50, 50), max_size=200), st.integers(1, 40))
+    def test_series_division_inverts_multiplication(self, coeffs, d):
+        s = list(coeffs)
+        laurent._stride_div(s, d, exact=False)
+        assert len(s) == len(coeffs)
+        laurent._stride_mul(s, d)
+        assert s == coeffs
+
+    def test_both_paths(self):
+        # 1 - x^40 = (1 - x^2)(1 + x^2 + ... + x^38): long residue classes
+        # for d = 2, blocks for d = 20
+        for d in (2, 20):
+            s = [1] + [0] * 39 + [-1]
+            laurent._stride_div(s, d)
+            assert s == [1 if e % d == 0 else 0 for e in range(40 - d + 1)]
+
+    def test_short_dividend(self):
+        s = [0, 0]
+        laurent._stride_div(s, 3)
+        assert s == []
+        with pytest.raises(InexactDivisionError):
+            laurent._stride_div([0, 1], 3)
+
+
 class TestSymmetryPredicates:
     def test_figure_eight_is_symmetric(self):
         assert V_41.is_symmetric()

@@ -147,3 +147,11 @@ class TestOpenQuestionCandidates:
         excluded = {n for n in range(2, bound + 1) if excluded_phi_index(n)}
         assert not candidates & realized
         assert candidates | realized | excluded == set(range(2, bound + 1))
+
+    def test_sieve_matches_per_order_filter(self):
+        # every bound up to 300, then a stride of bounds up to 5000
+        realized = set(realized_orders(5000))
+        unexcluded = [n for n in range(2, 5001) if not excluded_phi_index(n)]
+        for bound in [*range(2, 301), *range(301, 5000, 37), 5000]:
+            expected = [n for n in unexcluded if n <= bound and n not in realized]
+            assert open_question_candidates(bound) == expected

@@ -1,6 +1,7 @@
 import pytest
 
 import cyclojones.wnk
+from cyclojones.errors import InternalInconsistencyError
 from cyclojones.cyclotomic import is_cyclotomic_product, phi_sym, phi_tilde
 from cyclojones.laurent import LaurentPoly, parse_poly
 from cyclojones.wnk import (
@@ -191,13 +192,32 @@ class TestGenerateTable:
         assert row["crossing_bound"] == 4
 
 
+class TestQuotientCheck:
+    def test_planted_numerator_raises(self, monkeypatch):
+        # -t^7 + t^4 + t^3 - t^2 + t - 1 vanishes at t = 1 but not at t = -1
+        monkeypatch.setattr(cyclojones.wnk, "d_exponents", lambda n, k: (7, 4, 3, 2, 1, 0))
+        with pytest.raises(InternalInconsistencyError, match=r"W\(3,1\).*not divisible"):
+            jones_wnk(3, 1)
+
+    def test_division_reached_for_a_cell(self, monkeypatch):
+        calls = []
+
+        def record(s, d):
+            calls.append(d)
+
+        monkeypatch.setattr(cyclojones.wnk, "_stride_div", record)
+        with pytest.raises(InternalInconsistencyError):
+            jones_wnk(1, 1)  # the unreduced numerator fails V(1) = 1
+        assert calls == [2]
+
+
 class TestTermBudget:
     @pytest.mark.parametrize("n, k", [(10**9, 1), (-(10**9), 0)])
     def test_oversized_rejected_before_dividing(self, monkeypatch, n, k):
-        def refuse(self, other):
-            raise AssertionError("divide_exact was called")
+        def refuse(s, d):
+            raise AssertionError("the stride division was called")
 
-        monkeypatch.setattr(LaurentPoly, "divide_exact", refuse)
+        monkeypatch.setattr(cyclojones.wnk, "_stride_div", refuse)
         with pytest.raises(ValueError, match="budget"):
             jones_wnk(n, k)
 
