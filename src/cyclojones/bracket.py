@@ -25,14 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import InternalInconsistencyError, TagError
 from .laurent import LaurentPoly
-from .wnk import (
-    MAX_TERMS,
-    _check_span,
-    _quotient_one_minus_t2,
-    d_exponents,
-    jones_wnk,
-    writhe_wnk,
-)
+from .wnk import MAX_TERMS, _check_span, _quotient_one_minus_t2, d_exponents, jones_wnk, writhe_wnk
 
 _A_KINK = LaurentPoly({-1: 1, 3: -1}, "A")  # A^-1 - A^3
 

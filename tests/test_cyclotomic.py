@@ -79,8 +79,8 @@ class TestPhi:
 
     # sympy's own construction is quadratic in the degree (about 100 s for
     # every n <= 3000), so the oracle covers n <= 400, every squarefree
-    # n <= 3000 with four or more primes (the most Moebius factors), and
-    # 30030 = 2*3*5*7*11*13.
+    # n <= 3000 with four or more primes (the most Moebius factors),
+    # 30030 = 2*3*5*7*11*13 and a sample of the other n <= 3000.
     @pytest.mark.parametrize(
         "n",
         list(range(1, 401))
@@ -91,6 +91,11 @@ class TestPhi:
         x = sympy.Symbol("x")
         coeffs = sympy.cyclotomic_poly(n, x, polys=True).all_coeffs()[::-1]
         assert phi(n) == LaurentPoly(enumerate(map(int, coeffs)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(401, 3000))
+    def test_matches_sympy_sampled(self, n):
+        self.test_matches_sympy(n)
 
     @pytest.mark.parametrize("n", list(range(1, 301)))
     def test_divisor_product_identity(self, n):

@@ -1,8 +1,8 @@
 import pytest
 
 import cyclojones.wnk
-from cyclojones.errors import InternalInconsistencyError
 from cyclojones.cyclotomic import is_cyclotomic_product, phi_sym, phi_tilde
+from cyclojones.errors import InternalInconsistencyError
 from cyclojones.laurent import LaurentPoly, parse_poly
 from cyclojones.wnk import (
     Family,
