@@ -16,18 +16,33 @@ so a level carries one running sum per parity of n and costs O(W)
 additions for a window of width W.  Each step consumes level entries up
 to two indices wider than the one it produces, so the windows shrink by
 two per level.
+
+Every A-exponent of <W(n,k)> is congruent to 3w mod 4 (w the writhe), so
+the recursion runs on dense cells (lo, coeffs) standing for
+sum_j coeffs[j] A^(lo + 4j), a list in B = A^4 with the offset kept on
+the side.  A shift by A^e only moves lo, a sum is one slice addition,
+and the kink factor is A^-1 (1 - B), one stride pass.  Level 0 is
+converted to cells once, the cells are carried from level to level, and
+each new level is decoded once into the public BracketLevel.  Adding two
+cells whose offsets differ mod 4 means a broken theorem and raises
+InternalInconsistencyError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, and_, floordiv, neg, sub
+from typing import Callable
 
 from .errors import InternalInconsistencyError, TagError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _from_dense, _stride_mul
 from .wnk import MAX_TERMS, _check_span, _quotient_one_minus_t2, d_exponents, jones_wnk, writhe_wnk
 
-_A_KINK = LaurentPoly({-1: 1, 3: -1}, "A")  # A^-1 - A^3
+# (lo, coeffs): sum_j coeffs[j] A^(lo + 4j); [] is zero.  Cells are never
+# changed in place, so two of them may share a list.
+Cell = tuple[int, list[int]]
 
 
 def torus_jones(p: int, q: int) -> LaurentPoly:
@@ -51,6 +66,16 @@ def bracket_wnk_base(n: int) -> LaurentPoly:
     return jones_to_bracket(n, 0, v)
 
 
+def _lookup(values: dict, k: int, n: int):
+    """values[n] of level k, or InternalInconsistencyError naming the missing n."""
+    try:
+        return values[n]
+    except KeyError:
+        raise InternalInconsistencyError(
+            f"level k={k} has no entry for n={n}; enlarge the window"
+        ) from None
+
+
 @dataclass(frozen=True)
 class BracketLevel:
     """Brackets <W(n,k)> for one fixed k, over a window of n values."""
@@ -59,12 +84,7 @@ class BracketLevel:
     values: dict[int, LaurentPoly] = field(default_factory=dict)
 
     def bracket(self, n: int) -> LaurentPoly:
-        try:
-            return self.values[n]
-        except KeyError:
-            raise InternalInconsistencyError(
-                f"level k={self.k} has no entry for n={n}; enlarge the window"
-            ) from None
+        return _lookup(self.values, self.k, n)
 
     def g(self, a: int) -> LaurentPoly:
         """g_a = <W(-a-2, k)>: the tangle closure the kink lemma sums over."""
@@ -98,19 +118,75 @@ def s_prime(n: int, k: int) -> LaurentPoly:
     )
 
 
-def _next_level(prev: BracketLevel, window: int) -> BracketLevel:
-    # One running sum per parity, seeded with S_-1 and S_0 by s_sum:
+def _cell(p: LaurentPoly) -> Cell:
+    """The dense cell of an A-polynomial whose exponents lie in one class mod 4."""
+    if not p:
+        return 0, []
+    lo = p.min_exp
+    coeffs = [0] * ((p.max_exp - lo) // 4 + 1)
+    for e, c in p:
+        if (e - lo) & 3:
+            raise InternalInconsistencyError(
+                f"A-exponents {lo} and {e} of one bracket differ mod 4"
+            )
+        coeffs[(e - lo) >> 2] = c
+    return lo, coeffs
+
+
+def _cell_add(x: Cell, y: Cell, op: Callable[[int, int], int] = add) -> Cell:
+    """x + y (op=add) or x - y (op=sub): one slice addition.
+
+    Two nonzero cells whose offsets differ mod 4 raise
+    InternalInconsistencyError: every sum the recursion forms is a sum of
+    terms of one bracket's class.
+    """
+    lo, a = x
+    lo_y, b = y
+    if not b:
+        return x
+    if not a:
+        return lo_y, b if op is add else list(map(neg, b))
+    if (lo_y - lo) & 3:
+        raise InternalInconsistencyError(
+            f"adding A-exponents {lo} and {lo_y}, which differ mod 4"
+        )
+    i = (lo_y - lo) >> 2
+    if i < 0:
+        a = [0] * -i + a
+        lo, i = lo_y, 0
+    else:
+        a = a[:]
+    j = i + len(b)
+    if j > len(a):
+        a += [0] * (j - len(a))
+    a[i:j] = map(op, a[i:j], b)
+    return lo, a
+
+
+def _next_level(
+    prev: BracketLevel, cells: dict[int, Cell], window: int
+) -> tuple[BracketLevel, dict[int, Cell]]:
+    # cells holds prev's brackets as dense cells.  One running sum per
+    # parity, seeded with S_-1 and S_0 by s_sum:
     # S_n = S_(n-2) + A^n g_(-n) + A^(-n) g_n for n >= 1, and S_n = -S_(-n-2)
     # below -1.  Two additions per n, so the level costs O(window) additions
     # where summing each S_n from scratch would cost O(window^2).
-    sums = {-1: s_sum(-1, prev), 0: s_sum(0, prev)}
+    k = prev.k
+    sums = {-1: _cell(s_sum(-1, prev)), 0: _cell(s_sum(0, prev))}
     for n in range(1, window + 1):
-        sums[n] = sums[n - 2] + prev.g(-n).shift(n) + prev.g(n).shift(-n)
-    values = {}
+        lo, g = _lookup(cells, k, n - 2)  # g_(-n)
+        lo_h, h = _lookup(cells, k, -n - 2)  # g_n
+        sums[n] = _cell_add(_cell_add(sums[n - 2], (lo + n, g)), (lo_h - n, h))
+    out = {}
     for n in range(-window, window + 1):
-        s = sums[n] if n >= -1 else -sums[-n - 2]
-        values[n] = _A_KINK * s.shift(n) - prev.bracket(n - 2).shift(2 * n - 1)
-    return BracketLevel(prev.k + 1, values)
+        lo, s = sums[n] if n >= -1 else sums[-n - 2]
+        if s:  # A^n (A^-1 - A^3) S_n = A^(n-1) (1 - B) S_n
+            s = s + [0] if n >= -1 else [*map(neg, s), 0]
+            _stride_mul(s, 1)
+        lo_p, p = _lookup(cells, k, n - 2)
+        out[n] = _cell_add((lo + n - 1, s), (lo_p + 2 * n - 1, p), sub)
+    values = {n: _from_dense(lo, c, "A", 4) for n, (lo, c) in out.items()}
+    return BracketLevel(k + 1, values), out
 
 
 def _check_budget(n_abs_max: int, k_max: int) -> None:
@@ -145,9 +221,11 @@ def bracket_levels(n_abs_max: int, k_max: int) -> list[BracketLevel]:
     levels = [
         BracketLevel(0, {n: bracket_wnk_base(n) for n in range(-window, window + 1)})
     ]
+    cells = {n: _cell(p) for n, p in levels[0].values.items()}
     for j in range(1, k_max + 1):
         window = n_abs_max + 2 * (k_max - j) + 2
-        levels.append(_next_level(levels[-1], window))
+        level, cells = _next_level(levels[-1], cells, window)
+        levels.append(level)
     return levels
 
 
@@ -173,16 +251,16 @@ def bracket_to_jones(n: int, k: int, bracket: LaurentPoly) -> LaurentPoly:
     """
     if bracket.variable != "A":
         raise TagError("bracket must be an A-polynomial")
-    sign = -1 if k % 2 else 1
-    shifted = bracket.scale(sign, -3 * writhe_wnk(n, k))
-    terms = {}
-    for e, c in shifted.items():
-        if e % 4:
-            raise InternalInconsistencyError(
-                f"A-exponent {e} not divisible by 4; writhe/bracket mismatch"
-            )
-        terms[-e // 4] = c
-    return LaurentPoly(terms, "t")
+    terms = bracket._terms
+    w3 = 3 * writhe_wnk(n, k)
+    keys = [e - w3 for e in terms]
+    if any(map(and_, keys, repeat(3))):
+        e = next(e for e in keys if e & 3)
+        raise InternalInconsistencyError(
+            f"A-exponent {e} not divisible by 4; writhe/bracket mismatch"
+        )
+    values = map(neg, terms.values()) if k % 2 else terms.values()
+    return LaurentPoly._new(dict(zip(map(floordiv, keys, repeat(-4)), values)), "t")
 
 
 def jones_to_bracket(n: int, k: int, v: LaurentPoly) -> LaurentPoly:

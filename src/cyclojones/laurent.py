@@ -307,9 +307,11 @@ def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
     return lo, out
 
 
-def _from_dense(lo: int, coeffs: list[int], variable: str = "t") -> LaurentPoly:
-    """The polynomial with ascending coefficients coeffs from exponent lo on."""
-    return LaurentPoly._new(dict(compress(zip(count(lo), coeffs), coeffs)), variable)
+def _from_dense(
+    lo: int, coeffs: list[int], variable: str = "t", step: int = 1
+) -> LaurentPoly:
+    """The polynomial sum_j coeffs[j] x^(lo + step*j)."""
+    return LaurentPoly._new(dict(compress(zip(count(lo, step), coeffs), coeffs)), variable)
 
 
 # Kronecker takes a product with more than this many term pairs per slot of

@@ -1,3 +1,5 @@
+from operator import add, sub
+
 import pytest
 
 import cyclojones.bracket
@@ -15,10 +17,11 @@ from cyclojones.bracket import (
     verify_range,
 )
 from cyclojones.errors import InexactDivisionError, InternalInconsistencyError, TagError
-from cyclojones.laurent import LaurentPoly, parse_poly
+from cyclojones.laurent import LaurentPoly, _from_dense, parse_poly
 from cyclojones.wnk import jones_wnk
 
 A_MINUS_8_MINUS_1 = LaurentPoly({-8: 1, 0: -1}, "A")
+A_KINK = LaurentPoly({-1: 1, 3: -1}, "A")  # A^-1 - A^3
 
 
 class TestTorusJones:
@@ -116,15 +119,15 @@ class TestRunningSums:
         return BracketLevel(
             prev.k + 1,
             {
-                n: cyclojones.bracket._A_KINK * s_sum(n, prev).shift(n)
+                n: A_KINK * s_sum(n, prev).shift(n)
                 - prev.bracket(n - 2).shift(2 * n - 1)
                 for n in range(-window, window + 1)
             },
         )
 
-    @pytest.mark.parametrize("a", range(9))
+    @pytest.mark.parametrize("a", [*range(9), 20])
     def test_levels_match_definition(self, a):
-        for k in range(1, 6):
+        for k in range(1, 6 if a < 9 else 7):
             levels = bracket_levels(a, k)
             for j in range(1, k + 1):
                 expected = self.reference_level(levels[j - 1], a + 2 * (k - j) + 2)
@@ -133,19 +136,63 @@ class TestRunningSums:
     def test_linear_additions_per_level(self, monkeypatch):
         # summing each S_n from scratch makes about 23 additions per cell here
         calls = 0
-        add = LaurentPoly.__add__
+        cell_add = cyclojones.bracket._cell_add
 
-        def counting_add(self, other):
+        def counting_add(x, y, *op):
             nonlocal calls
             calls += 1
-            return add(self, other)
+            return cell_add(x, y, *op)
 
-        monkeypatch.setattr(LaurentPoly, "__add__", counting_add)
+        monkeypatch.setattr(cyclojones.bracket, "_cell_add", counting_add)
         levels = bracket_levels(40, 2)
         monkeypatch.undo()
-        assert LaurentPoly.__add__ is add
+        assert cyclojones.bracket._cell_add is cell_add
         cells = sum(len(level.values) for level in levels[1:])
-        assert calls <= 3 * cells
+        assert cells <= calls <= 3 * cells
+
+
+class TestModFourCheck:
+    """The A-exponents of one bracket lie in one class mod 4 (a theorem)."""
+
+    def test_cells_of_different_classes_refused(self):
+        with pytest.raises(InternalInconsistencyError, match="differ mod 4"):
+            cyclojones.bracket._cell_add((0, [1]), (6, [1, -1]))
+        # zero has no class
+        assert cyclojones.bracket._cell_add((1, []), (6, [1])) == (6, [1])
+        assert cyclojones.bracket._cell_add((6, [1]), (1, []), sub) == (6, [1])
+        assert cyclojones.bracket._cell_add((1, []), (6, [1]), sub) == (6, [-1])
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [((-3, [1, 2]), (5, [7, 1])), ((-3, [1, 2, 3, 4]), (1, [5])), ((-7, [1] * 5), (1, [5, -1]))],
+        ids=["apart", "inside", "overlapping"],
+    )
+    def test_sum_and_difference(self, x, y):
+        px, py = (_from_dense(lo, c, "A", 4) for lo, c in (x, y))
+        for op in (add, sub):
+            assert _from_dense(*cyclojones.bracket._cell_add(x, y, op), "A", 4) == op(px, py)
+            assert _from_dense(*cyclojones.bracket._cell_add(y, x, op), "A", 4) == op(py, px)
+
+    @pytest.mark.parametrize(
+        "plant",
+        [lambda b: b.shift(1), lambda b: b + LaurentPoly({b.max_exp + 1: 1}, "A")],
+        ids=["whole cell shifted", "one term off"],
+    )
+    def test_planted_odd_exponent_raises(self, monkeypatch, plant):
+        base = cyclojones.bracket.bracket_wnk_base
+
+        def planted(n):
+            return plant(base(n)) if n == 1 else base(n)
+
+        monkeypatch.setattr(cyclojones.bracket, "bracket_wnk_base", planted)
+        with pytest.raises(InternalInconsistencyError, match="differ mod 4"):
+            bracket_levels(2, 2)
+
+    def test_narrow_window_names_the_missing_cell(self):
+        level = BracketLevel(0, {n: bracket_wnk_base(n) for n in range(-4, 5)})
+        cells = {n: cyclojones.bracket._cell(p) for n, p in level.values.items()}
+        with pytest.raises(InternalInconsistencyError, match="no entry for n=-5"):
+            cyclojones.bracket._next_level(level, cells, 3)
 
 
 class TestSPrime:

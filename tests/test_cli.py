@@ -104,6 +104,17 @@ class TestVerifyCommand:
         assert code == 2
         assert "not divisible by 4" in err
 
+    def test_odd_bracket_exponent_exits_2(self, capsys, monkeypatch):
+        true_base = cyclojones.bracket.bracket_wnk_base
+
+        def planted(n):
+            return true_base(n).shift(1) if n == 1 else true_base(n)
+
+        monkeypatch.setattr(cyclojones.bracket, "bracket_wnk_base", planted)
+        code, _, err = run(capsys, "verify", "--n", "0..2", "--k", "0..1")
+        assert code == 2
+        assert "differ mod 4" in err
+
     def test_bad_range_exits_1(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "bogus")
         assert code == 1
