@@ -22,10 +22,10 @@ the recursion runs on dense cells (lo, coeffs) standing for
 sum_j coeffs[j] A^(lo + 4j), a list in B = A^4 with the offset kept on
 the side.  A shift by A^e only moves lo, a sum is one slice addition,
 and the kink factor is A^-1 (1 - B), one stride pass.  Level 0 is
-converted to cells once, the cells are carried from level to level, and
-each new level is decoded once into the public BracketLevel.  Adding two
-cells whose offsets differ mod 4 means a broken theorem and raises
-InternalInconsistencyError.
+converted to cells once, and every BracketLevel holds its brackets as
+cells only: a bracket is decoded into a LaurentPoly when it is read.
+Adding two cells whose offsets differ mod 4 means a broken theorem and
+raises InternalInconsistencyError.
 """
 
 from __future__ import annotations
@@ -78,13 +78,16 @@ def _lookup(values: dict, k: int, n: int):
 
 @dataclass(frozen=True)
 class BracketLevel:
-    """Brackets <W(n,k)> for one fixed k, over a window of n values."""
+    """Brackets <W(n,k)> for one fixed k, over a window of n values.
+
+    values[n] is the dense cell of <W(n,k)>; bracket(n) decodes it.
+    """
 
     k: int
-    values: dict[int, LaurentPoly] = field(default_factory=dict)
+    values: dict[int, Cell] = field(default_factory=dict)
 
     def bracket(self, n: int) -> LaurentPoly:
-        return _lookup(self.values, self.k, n)
+        return _from_dense(*_lookup(self.values, self.k, n), "A", 4)
 
     def g(self, a: int) -> LaurentPoly:
         """g_a = <W(-a-2, k)>: the tangle closure the kink lemma sums over."""
@@ -163,15 +166,12 @@ def _cell_add(x: Cell, y: Cell, op: Callable[[int, int], int] = add) -> Cell:
     return lo, a
 
 
-def _next_level(
-    prev: BracketLevel, cells: dict[int, Cell], window: int
-) -> tuple[BracketLevel, dict[int, Cell]]:
-    # cells holds prev's brackets as dense cells.  One running sum per
-    # parity, seeded with S_-1 and S_0 by s_sum:
+def _next_level(prev: BracketLevel, window: int) -> BracketLevel:
+    # One running sum per parity, seeded with S_-1 and S_0 by s_sum:
     # S_n = S_(n-2) + A^n g_(-n) + A^(-n) g_n for n >= 1, and S_n = -S_(-n-2)
     # below -1.  Two additions per n, so the level costs O(window) additions
     # where summing each S_n from scratch would cost O(window^2).
-    k = prev.k
+    k, cells = prev.k, prev.values
     sums = {-1: _cell(s_sum(-1, prev)), 0: _cell(s_sum(0, prev))}
     for n in range(1, window + 1):
         lo, g = _lookup(cells, k, n - 2)  # g_(-n)
@@ -185,8 +185,16 @@ def _next_level(
             _stride_mul(s, 1)
         lo_p, p = _lookup(cells, k, n - 2)
         out[n] = _cell_add((lo + n - 1, s), (lo_p + 2 * n - 1, p), sub)
-    values = {n: _from_dense(lo, c, "A", 4) for n, (lo, c) in out.items()}
-    return BracketLevel(k + 1, values), out
+    return BracketLevel(k + 1, out)
+
+
+def _windows(n_abs_max: int, k_max: int) -> list[int]:
+    """Half-widths of levels 0..k_max: level j holds |n| <= its entry.
+
+    Each level is read two indices wider than the one it produces, so the
+    windows shrink by two per level down to n_abs_max + 2 at k_max.
+    """
+    return [n_abs_max + 2 * (k_max - j) + 2 for j in range(k_max + 1)]
 
 
 def _check_budget(n_abs_max: int, k_max: int) -> None:
@@ -198,8 +206,7 @@ def _check_budget(n_abs_max: int, k_max: int) -> None:
     cells), and stops as soon as it passes the budget.
     """
     total = 0
-    for j in range(k_max + 1):
-        window = n_abs_max + 2 * (k_max - j) + 2
+    for j, window in enumerate(_windows(n_abs_max, k_max)):
         for n in range(-window, window + 1):
             e = d_exponents(n, j)
             total += max(e) - min(e) - 1
@@ -217,15 +224,11 @@ def bracket_levels(n_abs_max: int, k_max: int) -> list[BracketLevel]:
     more than MAX_TERMS terms in all.
     """
     _check_budget(n_abs_max, k_max)
-    window = n_abs_max + 2 * k_max + 2
-    levels = [
-        BracketLevel(0, {n: bracket_wnk_base(n) for n in range(-window, window + 1)})
-    ]
-    cells = {n: _cell(p) for n, p in levels[0].values.items()}
-    for j in range(1, k_max + 1):
-        window = n_abs_max + 2 * (k_max - j) + 2
-        level, cells = _next_level(levels[-1], cells, window)
-        levels.append(level)
+    first, *rest = _windows(n_abs_max, k_max)
+    base = {n: _cell(bracket_wnk_base(n)) for n in range(-first, first + 1)}
+    levels = [BracketLevel(0, base)]
+    for window in rest:
+        levels.append(_next_level(levels[-1], window))
     return levels
 
 

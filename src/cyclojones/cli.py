@@ -68,7 +68,7 @@ def cmd_verify(n_range, k_range, fmt):
     ns = _parse_range(n_range)
     ks = _parse_range(k_range)
     results = bracket.verify_range(ns.start, ns.stop - 1, ks.start, ks.stop - 1)
-    bad = [(n, k) for n, k, ok in sorted(results, key=lambda r: (r[1], r[0])) if not ok]
+    bad = [(n, k) for n, k, ok in results if not ok]  # in (k, n) order
     total = len(results)
     if fmt == "json":
         click.echo(json.dumps({

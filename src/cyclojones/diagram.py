@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInconsistencyError
-
 
 @dataclass(frozen=True)
 class ArrowRecord:
@@ -64,14 +62,3 @@ def wnk_summary(n: int, k: int) -> ArrowDiagramSummary:
     kink_sign = -1 if n > 0 else 1
     arrows.extend(ArrowRecord(kink_sign, -1) for _ in range(abs(n)))
     return ArrowDiagramSummary(bare_writhe=k, arrows=tuple(arrows))
-
-
-def pair_contribution_identity(a: int, b: int) -> int:
-    """Both sides of 2a + a(a-1) + b(b-1) - 2ab == (a-b)(a-b+1), asserted equal."""
-    if a < 0 or b < 0:
-        raise ValueError("arrow counts must be >= 0")
-    lhs = 2 * a + a * (a - 1) + b * (b - 1) - 2 * a * b
-    rhs = (a - b) * (a - b + 1)
-    if lhs != rhs:
-        raise InternalInconsistencyError(f"pair contribution identity broke at {a},{b}")
-    return lhs

@@ -197,7 +197,7 @@ class LaurentPoly:
         if len(a) > _KRONECKER_RATIO and len(a) * len(b) > _KRONECKER_RATIO * (
             max(a) - min(a) + max(b) - min(b) + 2
         ):
-            return self._new(_kronecker_product(self, other), self._variable)
+            return _kronecker_product(self, other)
         data: dict[int, int] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -319,8 +319,8 @@ def _from_dense(
 _KRONECKER_RATIO = 8
 
 
-def _kronecker_product(p: LaurentPoly, q: LaurentPoly) -> dict[int, int]:
-    """Terms of p*q by Kronecker substitution: one big-int multiply.
+def _kronecker_product(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """p*q by Kronecker substitution: one big-int multiply.
 
     Each dense coefficient list is packed into one int with slots of wb
     bytes, every slot offset by half = 2^(8*wb - 1) so that it holds a
@@ -338,14 +338,8 @@ def _kronecker_product(p: LaurentPoly, q: LaurentPoly) -> dict[int, int]:
     size = len(cp) + len(cq) - 1
     buf = (product + _offsets(size, wb)).to_bytes(size * wb, "little")
     from_bytes = int.from_bytes
-    out: dict[int, int] = {}
-    e = lo_p + lo_q
-    for i in range(0, len(buf), wb):
-        c = from_bytes(buf[i:i + wb], "little") - half
-        if c:
-            out[e] = c
-        e += 1
-    return out
+    coeffs = [from_bytes(buf[i:i + wb], "little") - half for i in range(0, len(buf), wb)]
+    return _from_dense(lo_p + lo_q, coeffs, p.variable)
 
 
 def _offsets(size: int, wb: int) -> int:

@@ -6,6 +6,7 @@ import cyclojones.bracket
 import cyclojones.wnk
 from cyclojones.bracket import (
     BracketLevel,
+    _cell,
     bracket_levels,
     bracket_to_jones,
     bracket_wnk,
@@ -75,10 +76,6 @@ class TestBracketBase:
 class TestSSum:
     @staticmethod
     def level(k=0, window=12):
-        if k == 0:
-            return BracketLevel(
-                0, {n: bracket_wnk_base(n) for n in range(-window, window + 1)}
-            )
         return bracket_levels(window, k)[k]
 
     def test_minus_one_is_zero(self):
@@ -94,7 +91,7 @@ class TestSSum:
         assert s_sum(-5, level) == -s_sum(3, level)
 
     def test_window_error(self):
-        small = BracketLevel(0, {0: bracket_wnk_base(0)})
+        small = BracketLevel(0, {0: _cell(bracket_wnk_base(0))})
         with pytest.raises(InternalInconsistencyError, match="no entry for n="):
             s_sum(4, small)
 
@@ -114,24 +111,20 @@ class TestSSum:
 
 class TestRunningSums:
     @staticmethod
-    def reference_level(prev, window):
+    def reference_brackets(prev, window):
         # each S_n summed from scratch by its definition
-        return BracketLevel(
-            prev.k + 1,
-            {
-                n: A_KINK * s_sum(n, prev).shift(n)
-                - prev.bracket(n - 2).shift(2 * n - 1)
-                for n in range(-window, window + 1)
-            },
-        )
+        return {
+            n: A_KINK * s_sum(n, prev).shift(n) - prev.bracket(n - 2).shift(2 * n - 1)
+            for n in range(-window, window + 1)
+        }
 
     @pytest.mark.parametrize("a", [*range(9), 20])
     def test_levels_match_definition(self, a):
         for k in range(1, 6 if a < 9 else 7):
             levels = bracket_levels(a, k)
             for j in range(1, k + 1):
-                expected = self.reference_level(levels[j - 1], a + 2 * (k - j) + 2)
-                assert levels[j].values == expected.values
+                expected = self.reference_brackets(levels[j - 1], a + 2 * (k - j) + 2)
+                assert {n: levels[j].bracket(n) for n in levels[j].values} == expected
 
     def test_linear_additions_per_level(self, monkeypatch):
         # summing each S_n from scratch makes about 23 additions per cell here
@@ -149,6 +142,24 @@ class TestRunningSums:
         assert cyclojones.bracket._cell_add is cell_add
         cells = sum(len(level.values) for level in levels[1:])
         assert cells <= calls <= 3 * cells
+
+
+class TestDecodeOnRead:
+    @pytest.mark.parametrize("a, k", [(0, 0), (0, 3), (2, 1), (3, 5), (8, 6)])
+    def test_only_read_cells_are_decoded(self, monkeypatch, a, k):
+        # verify_range reads (2a + 1)(k + 1) cells; each new level decodes
+        # one more for its S_0 seed
+        decodes = 0
+        from_dense = cyclojones.bracket._from_dense
+
+        def counting(*args):
+            nonlocal decodes
+            decodes += 1
+            return from_dense(*args)
+
+        monkeypatch.setattr(cyclojones.bracket, "_from_dense", counting)
+        assert all(ok for _, _, ok in verify_range(-a, a, 0, k))
+        assert 0 < decodes <= (2 * a + 1) * (k + 1) + k
 
 
 class TestModFourCheck:
@@ -189,10 +200,9 @@ class TestModFourCheck:
             bracket_levels(2, 2)
 
     def test_narrow_window_names_the_missing_cell(self):
-        level = BracketLevel(0, {n: bracket_wnk_base(n) for n in range(-4, 5)})
-        cells = {n: cyclojones.bracket._cell(p) for n, p in level.values.items()}
+        level = BracketLevel(0, {n: _cell(bracket_wnk_base(n)) for n in range(-4, 5)})
         with pytest.raises(InternalInconsistencyError, match="no entry for n=-5"):
-            cyclojones.bracket._next_level(level, cells, 3)
+            cyclojones.bracket._next_level(level, 3)
 
 
 class TestSPrime:

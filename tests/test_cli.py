@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_cli_lines() -> list[tuple[str, list[str]]]:
+    """(command, comments) for each line of the README's CLI block.
+
+    A line that holds only a comment continues the command above it.
+    """
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    entries: list[tuple[str, list[str]]] = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if command.strip():
+            entries.append((command.strip(), []))
+        if comment.strip():
+            entries[-1][1].append(comment.strip())
+    return entries
 
 
 class TestJonesCommand:
@@ -70,28 +89,31 @@ class TestVerifyCommand:
         assert json.loads(out) == {"total": 10, "ok": 10, "mismatches": []}
 
     @staticmethod
-    def _flip_one_cell(monkeypatch):
+    def _flip_two_cells(monkeypatch):
         true_jones = cyclojones.bracket.jones_wnk
 
         def flipped(n, k):
             v = true_jones(n, k)
-            if (n, k) == (1, 1):
+            if (n, k) in ((2, 0), (0, 1)):
                 v = v + parse_poly("t^7")  # flip one coefficient
             return v
 
         monkeypatch.setattr(cyclojones.bracket, "jones_wnk", flipped)
 
     def test_injected_fault_exits_2(self, capsys, monkeypatch):
-        self._flip_one_cell(monkeypatch)
+        # mismatches are listed in (k, n) order, the order verify_range returns
+        self._flip_two_cells(monkeypatch)
         code, out, _ = run(capsys, "verify", "--n", "0..2", "--k", "0..1")
         assert code == 2
-        assert "MISMATCH n=1 k=1" in out
+        assert out.splitlines() == ["MISMATCH n=2 k=0", "MISMATCH n=0 k=1", "FAIL 4/6"]
 
     def test_injected_fault_json_exits_2(self, capsys, monkeypatch):
-        self._flip_one_cell(monkeypatch)
+        self._flip_two_cells(monkeypatch)
         code, out, _ = run(capsys, "verify", "--n", "0..2", "--k", "0..1", "--format", "json")
         assert code == 2
-        assert json.loads(out) == {"total": 6, "ok": 5, "mismatches": [{"n": 1, "k": 1}]}
+        assert json.loads(out) == {
+            "total": 6, "ok": 4, "mismatches": [{"n": 2, "k": 0}, {"n": 0, "k": 1}]
+        }
 
     def test_writhe_fault_exits_2(self, capsys, monkeypatch):
         true_writhe = cyclojones.bracket.writhe_wnk
@@ -267,3 +289,33 @@ class TestUsage:
         assert err.startswith("error: ")
         if argv[0] == "verify":
             assert ("k_lo" if "-1..1" in argv else "budget") in err
+
+
+class TestReadmeCli:
+    """Each line of the README's CLI block does what its comment says."""
+
+    # the lines whose first comment is their exact output
+    PRINTED = [
+        "cyclojones jones -n 1 -k 1",
+        "cyclojones verify --n -2..2 --k 0..1 --format json",
+        "cyclojones obstruct --max 60",
+        "cyclojones mersenne -p 5",
+    ]
+
+    def test_block_holds_the_checked_lines(self):
+        entries = dict(readme_cli_lines())
+        assert all(command.startswith("cyclojones ") for command in entries)
+        assert all(entries.get(command) for command in self.PRINTED)
+        assert any(c and c[0].startswith("exit 1: ") for c in entries.values())
+
+    @pytest.mark.parametrize(
+        "command, comments", [pytest.param(c, m, id=c) for c, m in readme_cli_lines()]
+    )
+    def test_line(self, capsys, command, comments):
+        code, out, err = run(capsys, *shlex.split(command)[1:])
+        if comments and comments[0].startswith("exit 1: "):
+            assert code == 1 and not out and err.startswith("error: ")
+            return
+        assert code == 0, err
+        if command in self.PRINTED:
+            assert out.rstrip("\n") == comments[0]

@@ -3,7 +3,6 @@ import pytest
 from cyclojones.diagram import (
     ArrowDiagramSummary,
     ArrowRecord,
-    pair_contribution_identity,
     wnk_summary,
     writhe_from_summary,
 )
@@ -60,17 +59,6 @@ class TestWnkSummary:
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
             ArrowRecord(2, 0)
-
-
-class TestPairContribution:
-    @pytest.mark.parametrize("a,b,expected", [(0, 0, 0), (3, 1, 6), (1, 4, 6)])
-    def test_values(self, a, b, expected):
-        assert pair_contribution_identity(a, b) == expected
-
-    def test_identity_grid(self):
-        for a in range(21):
-            for b in range(21):
-                assert pair_contribution_identity(a, b) == (a - b) * (a - b + 1)
 
 
 class TestJson:

@@ -12,7 +12,10 @@ first seed for the per-layer counts.  Standard output is one JSON object
 with, per workload and side, the median and quartiles of every
 end-to-end metric over the seeds, the number of pairs the change won on
 each metric (the direction read from CHANGE/BENCHMARK.json), the failed
-ops and the traced counts per round.
+ops and the traced counts per round.  Per workload it also gives each
+metric's relative change of the median, (change - parent) / parent, and
+``regressions`` lists every "workload.metric" whose median got worse by
+more than the metric's ``bound`` in CHANGE/BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -53,12 +56,14 @@ def main(argv=None) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         bench = json.load(f)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     sides = {"parent": args.parent, "change": args.change}
 
     out = {"seconds": seconds, "seeds": args.seeds,
-           "python": platform.python_version(), "cpus": os.cpu_count(), "workloads": {}}
+           "python": platform.python_version(), "cpus": os.cpu_count(),
+           "workloads": {}, "regressions": []}
     for workload in workloads:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for i, seed in enumerate(args.seeds):
@@ -67,11 +72,15 @@ def main(argv=None) -> int:
                 runs[side].append(run(sides[side], workload, seed, seconds, 0))
         values = {side: {name: [r["metrics"][name]["value"] for r in rs] for name in better}
                   for side, rs in runs.items()}
-        wins = {}
+        wins, change = {}, {}
         for name, direction in better.items():
             sign = 1 if direction == "higher" else -1
             wins[name] = sum(sign * (c - p) > 0
                              for p, c in zip(values["parent"][name], values["change"][name]))
+            p, c = (statistics.median(values[side][name]) for side in sides)
+            change[name] = rel = (c - p) / p if p else None
+            if rel is not None and -sign * rel > bound[name]:
+                out["regressions"].append(f"{workload}.{name}")
         traced = {}
         for side, root in sides.items():
             metrics = run(root, workload, args.seeds[0], seconds, 1)["metrics"]
@@ -87,6 +96,7 @@ def main(argv=None) -> int:
             for side in sides
         }
         entry["change_wins_of_pairs"] = wins
+        entry["median_change_vs_parent"] = change
         out["workloads"][workload] = entry
     print(json.dumps(out, indent=1))
     return 0
