@@ -105,10 +105,10 @@ def phi_sym(n: int) -> LaurentPoly:
 def phi_tilde(m: int) -> LaurentPoly:
     """Product of Phi^sym_{2d} over divisors d > 1 of odd m.
 
-    Equals the symmetric polynomial with m alternating coefficients
-    +1, -1, ..., +1.  Both forms are computed and compared on every cache
-    miss; a mismatch would mean broken polynomial arithmetic.  It has m
-    terms, so m > MAX_TERMS is refused before anything is built.
+    Built as its symmetric list of m alternating coefficients +1, -1, ...,
+    +1, which is checked against the product of the Phi_{2d} on every
+    cache miss; a mismatch would mean broken polynomial arithmetic.  It
+    has m terms, so m > MAX_TERMS is refused before anything is built.
     """
     if m < 1 or m % 2 == 0:
         raise ValueError("phi_tilde is defined for odd m >= 1")
@@ -117,14 +117,14 @@ def phi_tilde(m: int) -> LaurentPoly:
     product = LaurentPoly.one()
     for d in divisors(m):
         if d > 1:
-            product = product * phi_sym(2 * d)
+            product = product * phi(2 * d)
     h = (m - 1) // 2
-    alternating = LaurentPoly({e: (1 if (e + h) % 2 == 0 else -1) for e in range(-h, h + 1)})
-    if product != alternating:
+    alternating = [1, -1] * h + [1]
+    if _dense(product) != (0, alternating):
         raise InternalInconsistencyError(
             f"phi_tilde({m}): product and alternating forms disagree"
         )
-    return product
+    return _from_dense(-h, alternating)
 
 
 @dataclass(frozen=True)

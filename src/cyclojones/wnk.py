@@ -211,18 +211,31 @@ class TableRow:
 
 
 def generate_table(k_max: int) -> list[TableRow]:
-    """The quadruplets (k-1,k), (k,k), (2k,k), (2k+1,k) for k = 1..k_max."""
+    """The quadruplets (k-1,k), (k,k), (2k,k), (2k+1,k) for k = 1..k_max.
+
+    Raises ValueError before classifying any row when the rows would hold
+    more than MAX_TERMS terms in all.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    total = 0
+    for k in range(1, k_max + 1):
+        # phi_tilde(m) has m terms: m = f(k), f(k+1), g(k+1), g(k+1)
+        total += f(k) + f(k + 1) + 2 * g(k + 1)
+        if total > MAX_TERMS:
+            raise ValueError(
+                f"the table for k <= {k_max} would hold more than the budget "
+                f"of {MAX_TERMS} terms"
+            )
     rows = []
     for k in range(1, k_max + 1):
         for n in (k - 1, k, 2 * k, 2 * k + 1):
-            cls = classify_symmetry(n, k)
+            cls = classify_symmetry(n, k)  # proves V_W(n,k) == phi_tilde(cls.m)
             rows.append(
                 TableRow(
                     params=FamilyParams(n, k),
                     classification=cls,
-                    polynomial=jones_wnk(n, k),
+                    polynomial=phi_tilde(cls.m),
                     polynomial_name=polynomial_name(cls.m),
                     crossing_bound=crossing_bound(n, k),
                 )
@@ -255,8 +268,6 @@ def mersenne_knot(p: int) -> MersenneWitness:
     if not isprime(order):
         raise ValueError(f"2^{p} - 1 = {order} is not prime")
     k = 2 ** ((p - 1) // 2) - 1
-    if g(k + 1) != order:
-        raise InternalInconsistencyError(f"g({k + 1}) != 2^{p} - 1")
     if jones_wnk(2 * k, k) != phi_sym(2 * order):
         raise InternalInconsistencyError(
             f"V_W({2 * k},{k}) != Phi_sym_{2 * order}"

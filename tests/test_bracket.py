@@ -147,8 +147,8 @@ class TestRunningSums:
 class TestDecodeOnRead:
     @pytest.mark.parametrize("a, k", [(0, 0), (0, 3), (2, 1), (3, 5), (8, 6)])
     def test_only_read_cells_are_decoded(self, monkeypatch, a, k):
-        # verify_range reads (2a + 1)(k + 1) cells; each new level decodes
-        # one more for its S_0 seed
+        # verify_range reads (2a + 1)(k + 1) cells, and the recursion itself
+        # decodes none: its S_0 seed is the cell g_0
         decodes = 0
         from_dense = cyclojones.bracket._from_dense
 
@@ -159,7 +159,7 @@ class TestDecodeOnRead:
 
         monkeypatch.setattr(cyclojones.bracket, "_from_dense", counting)
         assert all(ok for _, _, ok in verify_range(-a, a, 0, k))
-        assert 0 < decodes <= (2 * a + 1) * (k + 1) + k
+        assert 0 < decodes <= (2 * a + 1) * (k + 1)
 
 
 class TestModFourCheck:

@@ -255,6 +255,8 @@ class TestUsage:
             ["phi", str(2**41 + 1)],
             ["phitilde", "-m", "4000001"],
             ["obstruct", "--max", "100000000"],
+            ["table", "--k-max", "80"],
+            ["table", "--k-max", "1000"],
         ],
         ids=" ".join,
     )

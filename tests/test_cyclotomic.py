@@ -1,3 +1,5 @@
+import json
+
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
@@ -14,6 +16,7 @@ from cyclojones.cyclotomic import (
     phi_tilde,
     phitilde_root_exponents,
 )
+from cyclojones.errors import InternalInconsistencyError
 from cyclojones.laurent import MAX_TERMS, LaurentPoly, parse_poly
 from cyclojones.wnk import jones_wnk
 
@@ -147,6 +150,18 @@ class TestPhiTilde:
         with pytest.raises(Reached):
             phi_tilde(MAX_TERMS - 1)
 
+    def test_wrong_factor_raises(self, monkeypatch):
+        original = cyclojones.cyclotomic.phi
+
+        def planted(n):
+            p = original(n)
+            return p + LaurentPoly({1: 1}) if n == 10 else p
+
+        phi_tilde.cache_clear()
+        monkeypatch.setattr(cyclojones.cyclotomic, "phi", planted)
+        with pytest.raises(InternalInconsistencyError, match="phi_tilde"):
+            phi_tilde(15)
+
     def test_product_identity_over_odd_m(self):
         # phi_tilde(m) * (t+1) * t^((m-1)/2) == t^m + 1
         t_plus_1 = parse_poly("t + 1")
@@ -171,6 +186,12 @@ class TestIsCyclotomicProduct:
 
     def test_non_cyclotomic(self):
         assert is_cyclotomic_product(parse_poly("t^2 - 2")) is None
+
+    def test_json_form(self):
+        # V_W(4,2) = t^-8 * Phi_34
+        obj = is_cyclotomic_product(jones_wnk(4, 2)).to_json()
+        assert obj == {"monomial_shift": -8, "sign": 1, "factors": [[34, 1]]}
+        assert json.loads(json.dumps(obj)) == obj
 
     def test_non_palindromic_rejected_before_division(self, monkeypatch):
         inputs = [jones_wnk(8, 5), parse_poly("t^-3 + 2t - t^5")]

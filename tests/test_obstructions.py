@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cyclojones.cyclotomic import phi, phi_sym
@@ -46,6 +48,19 @@ class TestSpecialValueCheck:
             assert special_value_check(power.scale(2)).at_zeta6_exponent is None
             power = power * base
         assert special_value_check(LaurentPoly({1: 3, 0: -1})).at_zeta6_exponent is None
+
+    def test_json_form(self):
+        # V_W(3,1) = Phi^sym_14
+        obj = special_value_check(jones_wnk(3, 1)).to_json()
+        assert obj == {
+            "at_one": 1,
+            "derivative_at_one": 0,
+            "at_zeta3_is_one": True,
+            "at_i_value": 1,
+            "at_zeta6_exponent": 0,
+            "passes_all": True,
+        }
+        assert json.loads(json.dumps(obj)) == obj
 
     def test_shifted_poly_fails_derivative(self):
         report = special_value_check(LaurentPoly({3: 1}))

@@ -191,6 +191,55 @@ class TestGenerateTable:
         assert row["n"] == 1 and row["k"] == 1 and row["m"] == 5
         assert row["crossing_bound"] == 4
 
+    @pytest.mark.parametrize("k_max", [1, 3, 6])
+    def test_rows_take_the_proved_phi_tilde(self, monkeypatch, k_max):
+        # classify_symmetry's one jones_wnk call per row proves V == phi_tilde(m)
+        calls = 0
+        original = cyclojones.wnk.jones_wnk
+
+        def counting(n, k):
+            nonlocal calls
+            calls += 1
+            return original(n, k)
+
+        monkeypatch.setattr(cyclojones.wnk, "jones_wnk", counting)
+        rows = generate_table(k_max)
+        assert calls == 4 * k_max
+        for i in range(0, len(rows), 4):
+            assert rows[i + 2].polynomial is rows[i + 3].polynomial
+
+    def test_unproved_phi_tilde_raises(self, monkeypatch):
+        monkeypatch.setattr(cyclojones.wnk, "phi_tilde", lambda m: phi_tilde(m).shift(1))
+        with pytest.raises(InternalInconsistencyError, match=r"V != phi_tilde"):
+            generate_table(2)
+
+
+class TestTableBudget:
+    # column k holds f(k) + f(k+1) + 2 g(k+1) terms: 1,042,958 up to
+    # k = 79 and 1,082,320 up to k = 80
+    class Reached(Exception):
+        pass
+
+    def reached(self, n, k):
+        raise self.Reached
+
+    def test_largest_table_within_budget(self, monkeypatch):
+        monkeypatch.setattr(cyclojones.wnk, "classify_symmetry", self.reached)
+        with pytest.raises(self.Reached):
+            generate_table(79)
+
+    @pytest.mark.parametrize("k_max", [80, 722, 1000, 10**18])
+    def test_over_budget_refused_before_classifying(self, monkeypatch, k_max):
+        monkeypatch.setattr(cyclojones.wnk, "classify_symmetry", self.reached)
+        with pytest.raises(ValueError, match="budget"):
+            generate_table(k_max)
+
+    def test_term_count(self):
+        rows = generate_table(7)
+        for k in range(1, 8):
+            column = rows[4 * k - 4 : 4 * k]
+            assert sum(len(r.polynomial) for r in column) == f(k) + f(k + 1) + 2 * g(k + 1)
+
 
 class TestQuotientCheck:
     def test_planted_numerator_raises(self, monkeypatch):
