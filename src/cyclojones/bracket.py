@@ -20,10 +20,11 @@ two per level.
 Every A-exponent of <W(n,k)> is congruent to 3w mod 4 (w the writhe), so
 the recursion runs on dense cells (lo, coeffs) standing for
 sum_j coeffs[j] A^(lo + 4j), a list in B = A^4 with the offset kept on
-the side.  A shift by A^e only moves lo, a sum is one slice addition,
-and the kink factor is A^-1 (1 - B), one stride pass.  Level 0 is
-converted to cells once, and every BracketLevel holds its brackets as
-cells only: a bracket is decoded into a LaurentPoly when it is read.
+the side.  A shift by A^e only moves lo, a sum is one slice addition
+whose zero ends are dropped, and the kink factor is A^-1 (1 - B), one
+stride pass.  Level 0 is converted to cells once, and every BracketLevel
+holds its brackets as cells only: a bracket is decoded into a LaurentPoly
+when it is read, and verify_range turns each cell it reads into V directly.
 Adding two cells whose offsets differ mod 4 means a broken theorem and
 raises InternalInconsistencyError.
 """
@@ -32,8 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import add, and_, floordiv, neg, sub
+from operator import add, neg, sub
 from typing import Callable
 
 from .errors import InternalInconsistencyError, TagError
@@ -163,7 +163,10 @@ def _cell_add(x: Cell, y: Cell, op: Callable[[int, int], int] = add) -> Cell:
     if j > len(a):
         a += [0] * (j - len(a))
     a[i:j] = map(op, a[i:j], b)
-    return lo, a
+    while a and not a[-1]:  # a sum that cancels leaves zero ends; drop them
+        a.pop()
+    z = next(i for i, c in enumerate(a) if c) if a else 0
+    return lo + 4 * z, a[z:] if z else a
 
 
 def _next_level(prev: BracketLevel, window: int) -> BracketLevel:
@@ -201,8 +204,8 @@ def _windows(n_abs_max: int, k_max: int) -> list[int]:
 def _check_budget(n_abs_max: int, k_max: int) -> None:
     """Refuse levels whose cells would hold more than MAX_TERMS terms in all.
 
-    Cell (n, j) holds about span(d_polynomial(n, j)) - 1 terms, read from
-    the exponents alone.  The sum runs over the windows bracket_levels
+    Cell (n, j) holds at most span(d_polynomial(n, j)) - 1 terms, read
+    from the exponents alone.  The sum runs over the windows bracket_levels
     builds, starting at level 0's most negative n (one of the widest
     cells), and stops as soon as it passes the budget.
     """
@@ -248,23 +251,29 @@ def bracket_wnk(n: int, k: int) -> LaurentPoly:
     return bracket_levels(abs(n), k)[k].bracket(n)
 
 
-def bracket_to_jones(n: int, k: int, bracket: LaurentPoly) -> LaurentPoly:
-    """Normalize a bracket of W(n,k) by its writhe and substitute t = A^-4.
+def _cell_to_jones(n: int, k: int, cell: Cell) -> LaurentPoly:
+    """V_{W(n,k)} from the cell of <W(n,k)> = (-1)^k A^(3w) V, w the writhe.
 
-    <W(n,k)> = (-1)^k A^(3w) V_{W(n,k)}, w the writhe of W(n,k).
+    t = A^-4 takes A^(lo + 4j) to t^((3w - lo)/4 - j); lo - 3w must be 0 mod 4.
     """
-    if bracket.variable != "A":
-        raise TagError("bracket must be an A-polynomial")
-    terms = bracket._terms
-    w3 = 3 * writhe_wnk(n, k)
-    keys = [e - w3 for e in terms]
-    if any(map(and_, keys, repeat(3))):
-        e = next(e for e in keys if e & 3)
+    lo, coeffs = cell
+    e = lo - 3 * writhe_wnk(n, k)
+    if coeffs and e & 3:  # zero has no class
         raise InternalInconsistencyError(
             f"A-exponent {e} not divisible by 4; writhe/bracket mismatch"
         )
-    values = map(neg, terms.values()) if k % 2 else terms.values()
-    return LaurentPoly._new(dict(zip(map(floordiv, keys, repeat(-4)), values)), "t")
+    return _from_dense(-e // 4, list(map(neg, coeffs)) if k % 2 else coeffs, "t", -1)
+
+
+def bracket_to_jones(n: int, k: int, bracket: LaurentPoly) -> LaurentPoly:
+    """Normalize a bracket of W(n,k) by its writhe and substitute t = A^-4.
+
+    <W(n,k)> = (-1)^k A^(3w) V_{W(n,k)}, w the writhe of W(n,k).  _cell
+    checks that the exponents share one class mod 4, _cell_to_jones that it is 3w's.
+    """
+    if bracket.variable != "A":
+        raise TagError("bracket must be an A-polynomial")
+    return _cell_to_jones(n, k, _cell(bracket))
 
 
 def jones_to_bracket(n: int, k: int, v: LaurentPoly) -> LaurentPoly:
@@ -294,7 +303,8 @@ def verify_range(
     levels = bracket_levels(n_abs_max, k_hi)
     results = []
     for k in range(k_lo, k_hi + 1):
+        cells = levels[k].values
         for n in range(n_lo, n_hi + 1):
-            recovered = bracket_to_jones(n, k, levels[k].bracket(n))
+            recovered = _cell_to_jones(n, k, _lookup(cells, k, n))
             results.append((n, k, recovered == jones_wnk(n, k)))
     return results

@@ -14,7 +14,7 @@ import click
 
 from . import bracket, cyclotomic, obstructions, wnk
 from .errors import CyclojonesError, InternalInconsistencyError
-from .laurent import poly_to_json, print_poly
+from .laurent import MAX_TERMS, poly_to_json, print_poly
 
 
 def _parse_range(text: str) -> range:
@@ -94,12 +94,18 @@ def cmd_classify(k_max, n_range, fmt):
     """Symmetry classification of W(n,k)."""
     if k_max < 1:
         raise click.UsageError("k-max must be >= 1")
-    rows = []
-    for k in range(1, k_max + 1):
-        ns = _parse_range(n_range) if n_range else (k - 1, k, 2 * k, 2 * k + 1)
-        for n in ns:
-            cls = wnk.classify_symmetry(n, k)
-            rows.append((n, k, cls))
+    ns = _parse_range(n_range) if n_range else None
+
+    def members():
+        for k in range(1, k_max + 1):
+            yield from ((n, k) for n in (ns or wnk.quadruplet(k)))
+
+    # jones_wnk's span rule, before any V is built; the raw exponents bound the span
+    for n, k in members():
+        e = wnk.d_exponents(n, k)
+        if max(e) - min(e) > MAX_TERMS:
+            wnk._check_span(n, k)
+    rows = [(n, k, wnk.classify_symmetry(n, k)) for n, k in members()]
     if fmt == "json":
         click.echo(json.dumps([
             {"n": n, "k": k, **cls.to_json()} for n, k, cls in rows

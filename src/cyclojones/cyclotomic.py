@@ -101,6 +101,12 @@ def phi_sym(n: int) -> LaurentPoly:
     return phi(n).shift(-euler_totient(n) // 2)
 
 
+def _alternating(m: int) -> tuple[int, list[int]]:
+    """Phi~_{2m} as (lowest exponent, coefficients): +1, -1, ..., +1 on -h..h, h = (m-1)/2."""
+    h = (m - 1) // 2
+    return -h, [1, -1] * h + [1]
+
+
 @lru_cache(maxsize=None)
 def phi_tilde(m: int) -> LaurentPoly:
     """Product of Phi^sym_{2d} over divisors d > 1 of odd m.
@@ -118,13 +124,12 @@ def phi_tilde(m: int) -> LaurentPoly:
     for d in divisors(m):
         if d > 1:
             product = product * phi(2 * d)
-    h = (m - 1) // 2
-    alternating = [1, -1] * h + [1]
+    lo, alternating = _alternating(m)
     if _dense(product) != (0, alternating):
         raise InternalInconsistencyError(
             f"phi_tilde({m}): product and alternating forms disagree"
         )
-    return _from_dense(-h, alternating)
+    return _from_dense(lo, alternating)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .arith import isprime
-from .cyclotomic import phi_sym, phi_tilde
+from .cyclotomic import _alternating, phi_sym, phi_tilde
 from .errors import InexactDivisionError, InternalInconsistencyError
 from .laurent import MAX_TERMS, LaurentPoly, _dense, _from_dense, _stride_div, poly_to_json
 
@@ -128,30 +128,33 @@ def jones_wnk(n: int, k: int) -> LaurentPoly:
     return v
 
 
+def quadruplet(k: int) -> dict[int, SymmetryClass]:
+    """The four symmetric members of column k >= 1: n -> family, in table order."""
+    return {
+        k - 1: SymmetryClass(Family.K_MINUS_1, f(k), f"f({k})"),
+        k: SymmetryClass(Family.K, f(k + 1), f"f({k + 1})"),
+        2 * k: SymmetryClass(Family.TWO_K, g(k + 1), f"g({k + 1})"),
+        2 * k + 1: SymmetryClass(Family.TWO_K_PLUS_1, g(k + 1), f"g({k + 1})"),
+    }
+
+
 def classify_symmetry(n: int, k: int) -> SymmetryClass:
     """Which of the four symmetric families (n,k) belongs to, if any.
 
-    Driven by the arithmetic condition on (n,k); the polynomial identity
-    V == phi_tilde(m) is then re-checked, since the classification theorem
-    is an equivalence.  For k = 0 every member is reported NOT_SYMMETRIC
-    (the nontrivial ones genuinely are; the trivial ones have V = 1).
+    Driven by the arithmetic condition on (n,k), read from quadruplet(k);
+    V is then checked, since the classification theorem is an equivalence:
+    a member's V must be phi_tilde(m)'s alternating list (no Phi_n is
+    built), and any other V must not be symmetric.  For k = 0 every member
+    is reported NOT_SYMMETRIC (the nontrivial ones genuinely are; the
+    trivial ones have V = 1).
     """
     _check_k(k)
     if k == 0:
         return NOT_SYMMETRIC
-    if n == k - 1:
-        out = SymmetryClass(Family.K_MINUS_1, f(k), f"f({k})")
-    elif n == k:
-        out = SymmetryClass(Family.K, f(k + 1), f"f({k + 1})")
-    elif n == 2 * k:
-        out = SymmetryClass(Family.TWO_K, g(k + 1), f"g({k + 1})")
-    elif n == 2 * k + 1:
-        out = SymmetryClass(Family.TWO_K_PLUS_1, g(k + 1), f"g({k + 1})")
-    else:
-        out = NOT_SYMMETRIC
+    out = quadruplet(k).get(n, NOT_SYMMETRIC)
     v = jones_wnk(n, k)
     if out.symmetric:
-        if v != phi_tilde(out.m):
+        if _dense(v) != _alternating(out.m):
             raise InternalInconsistencyError(
                 f"W({n},{k}) classified {out.family.value} but V != phi_tilde({out.m})"
             )
@@ -211,7 +214,7 @@ class TableRow:
 
 
 def generate_table(k_max: int) -> list[TableRow]:
-    """The quadruplets (k-1,k), (k,k), (2k,k), (2k+1,k) for k = 1..k_max.
+    """The members of quadruplet(k), (k-1,k), (k,k), (2k,k), (2k+1,k), for k = 1..k_max.
 
     Raises ValueError before classifying any row when the rows would hold
     more than MAX_TERMS terms in all.
@@ -220,8 +223,7 @@ def generate_table(k_max: int) -> list[TableRow]:
         raise ValueError("k_max must be >= 1")
     total = 0
     for k in range(1, k_max + 1):
-        # phi_tilde(m) has m terms: m = f(k), f(k+1), g(k+1), g(k+1)
-        total += f(k) + f(k + 1) + 2 * g(k + 1)
+        total += sum(cls.m for cls in quadruplet(k).values())  # phi_tilde(m) has m terms
         if total > MAX_TERMS:
             raise ValueError(
                 f"the table for k <= {k_max} would hold more than the budget "
@@ -229,7 +231,7 @@ def generate_table(k_max: int) -> list[TableRow]:
             )
     rows = []
     for k in range(1, k_max + 1):
-        for n in (k - 1, k, 2 * k, 2 * k + 1):
+        for n in quadruplet(k):
             cls = classify_symmetry(n, k)  # proves V_W(n,k) == phi_tilde(cls.m)
             rows.append(
                 TableRow(

@@ -7,6 +7,8 @@ import cyclojones.wnk
 from cyclojones.bracket import (
     BracketLevel,
     _cell,
+    _cell_to_jones,
+    _windows,
     bracket_levels,
     bracket_to_jones,
     bracket_wnk,
@@ -19,7 +21,7 @@ from cyclojones.bracket import (
 )
 from cyclojones.errors import InexactDivisionError, InternalInconsistencyError, TagError
 from cyclojones.laurent import LaurentPoly, _from_dense, parse_poly
-from cyclojones.wnk import jones_wnk
+from cyclojones.wnk import d_exponents, jones_wnk
 
 A_MINUS_8_MINUS_1 = LaurentPoly({-8: 1, 0: -1}, "A")
 A_KINK = LaurentPoly({-1: 1, 3: -1}, "A")  # A^-1 - A^3
@@ -157,9 +159,45 @@ class TestDecodeOnRead:
             decodes += 1
             return from_dense(*args)
 
+        def refuse(*args):
+            raise AssertionError("a bracket was decoded to an A-polynomial")
+
         monkeypatch.setattr(cyclojones.bracket, "_from_dense", counting)
+        monkeypatch.setattr(BracketLevel, "bracket", refuse)
+        monkeypatch.setattr(cyclojones.bracket, "bracket_to_jones", refuse)
         assert all(ok for _, _, ok in verify_range(-a, a, 0, k))
         assert 0 < decodes <= (2 * a + 1) * (k + 1)
+
+
+class TestCellToJones:
+    def test_matches_bracket_to_jones(self):
+        for level in bracket_levels(12, 8):
+            for n, cell in level.values.items():
+                expected = bracket_to_jones(n, level.k, level.bracket(n))
+                assert _cell_to_jones(n, level.k, cell) == expected
+
+    @pytest.mark.parametrize("moved", [1, 2, -1])
+    def test_moved_offset_raises(self, moved):
+        for n, k in ((1, 1), (-2, 2), (3, 0)):
+            lo, coeffs = bracket_levels(3, 2)[k].values[n]
+            with pytest.raises(InternalInconsistencyError, match="not divisible by 4"):
+                _cell_to_jones(n, k, (lo + moved, coeffs))
+
+
+class TestTrimmedCells:
+    @pytest.mark.parametrize("a, k", [(24, 16), (40, 20)])
+    def test_cells_hold_only_their_nonzero_spans(self, a, k):
+        entries = 0
+        for level in bracket_levels(a, k):
+            for _, coeffs in level.values.values():
+                assert coeffs[0] and coeffs[-1]
+                entries += len(coeffs)
+        budget = 0  # the count bracket_levels checks against MAX_TERMS
+        for j, window in enumerate(_windows(a, k)):
+            for n in range(-window, window + 1):
+                e = d_exponents(n, j)
+                budget += max(e) - min(e) - 1
+        assert entries <= budget
 
 
 class TestModFourCheck:
@@ -172,6 +210,10 @@ class TestModFourCheck:
         assert cyclojones.bracket._cell_add((1, []), (6, [1])) == (6, [1])
         assert cyclojones.bracket._cell_add((6, [1]), (1, []), sub) == (6, [1])
         assert cyclojones.bracket._cell_add((1, []), (6, [1]), sub) == (6, [-1])
+        # a sum that cancels drops its zero ends
+        assert cyclojones.bracket._cell_add((2, [1, 2, 3]), (2, [1, 5, 3]), sub) == (6, [-3])
+        assert cyclojones.bracket._cell_add((2, [1, 2]), (-2, [3, -1, -2])) == (-2, [3])
+        assert cyclojones.bracket._cell_add((2, [1]), (2, [1]), sub)[1] == []
 
     @pytest.mark.parametrize(
         "x, y",

@@ -164,6 +164,11 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", "--k-max", "1")
         assert code == 0
         assert "W(1,1)" in out and "n=k" in out
+        code, out, _ = run(capsys, "classify", "--k-max", "3", "--format", "json")
+        assert code == 0
+        assert [(r["n"], r["k"]) for r in json.loads(out)] == [
+            (n, k) for k in range(1, 4) for n in cyclojones.wnk.quadruplet(k)
+        ]
 
     def test_json(self, capsys):
         code, out, _ = run(
@@ -174,6 +179,45 @@ class TestClassifyCommand:
         families = {r["n"]: r["family"] for r in rows}
         assert families[4] == "not_symmetric"
         assert families[2] == "n=2k"
+
+
+class TestClassifyBudget:
+    """Every requested V is checked against jones_wnk's span rule before any is built.
+
+    W(1447,723) spans 1,048,352 exponents once its two top terms cancel (its
+    raw exponents span 1,049,076), so k_max = 723 is within the budget;
+    W(1448,724) spans 1,051,250 and W(349526,1) 1,048,579, both over it.
+    """
+
+    class Reached(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def patch_classify(self, monkeypatch):
+        def reached(n, k):
+            raise self.Reached
+
+        monkeypatch.setattr(cyclojones.wnk, "classify_symmetry", reached)
+
+    @pytest.mark.parametrize("k_max", [722, 723])
+    def test_within_budget_reaches_classify(self, k_max):
+        with pytest.raises(self.Reached):
+            main(["classify", "--k-max", str(k_max)])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--k-max", "724"],
+            ["--k-max", "1000"],
+            ["--k-max", str(10**18)],
+            ["--k-max", "1", "--n", "0..1000000000"],
+        ],
+        ids=" ".join,
+    )
+    def test_over_budget_exits_1_before_classifying(self, capsys, argv):
+        code, out, err = run(capsys, "classify", *argv)
+        assert code == 1 and not out
+        assert err.startswith("error: ") and "budget" in err
 
 
 class TestPhiCommands:

@@ -1,7 +1,7 @@
 import pytest
 
 import cyclojones.wnk
-from cyclojones.cyclotomic import is_cyclotomic_product, phi_sym, phi_tilde
+from cyclojones.cyclotomic import is_cyclotomic_product, phi, phi_sym, phi_tilde
 from cyclojones.errors import InternalInconsistencyError
 from cyclojones.laurent import LaurentPoly, parse_poly
 from cyclojones.wnk import (
@@ -16,6 +16,7 @@ from cyclojones.wnk import (
     is_trivial_unknot,
     jones_wnk,
     mersenne_knot,
+    quadruplet,
     writhe_wnk,
 )
 from sympy import divisors
@@ -107,6 +108,21 @@ class TestClassifySymmetry:
                 if expected:
                     assert cls.m % 2 == 1
                     assert jones_wnk(n, k) == phi_tilde(cls.m)
+
+    def test_builds_no_cyclotomic_polynomial(self, monkeypatch):
+        # V is compared with phi_tilde(m)'s alternating list, not with a product
+        phi.cache_clear()
+        phi_tilde.cache_clear()
+
+        def refuse(*args):
+            raise AssertionError("LaurentPoly.__mul__ was called")
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+        for k in range(1, 31):
+            for n, expected in quadruplet(k).items():
+                assert classify_symmetry(n, k) == expected
+        assert phi.cache_info().currsize == 0
+        assert phi_tilde.cache_info().currsize == 0
 
     def test_symmetric_cases_factor_cyclotomically(self):
         for k in range(1, 7):
@@ -209,7 +225,11 @@ class TestGenerateTable:
             assert rows[i + 2].polynomial is rows[i + 3].polynomial
 
     def test_unproved_phi_tilde_raises(self, monkeypatch):
-        monkeypatch.setattr(cyclojones.wnk, "phi_tilde", lambda m: phi_tilde(m).shift(1))
+        # a V that is not phi_tilde(m)'s alternating list fails the member's check
+        original = cyclojones.wnk.jones_wnk
+        monkeypatch.setattr(cyclojones.wnk, "jones_wnk", lambda n, k: original(n, k).shift(1))
+        with pytest.raises(InternalInconsistencyError, match=r"V != phi_tilde"):
+            classify_symmetry(8, 4)
         with pytest.raises(InternalInconsistencyError, match=r"V != phi_tilde"):
             generate_table(2)
 
@@ -238,6 +258,7 @@ class TestTableBudget:
         rows = generate_table(7)
         for k in range(1, 8):
             column = rows[4 * k - 4 : 4 * k]
+            assert [r.params for r in column] == [FamilyParams(n, k) for n in quadruplet(k)]
             assert sum(len(r.polynomial) for r in column) == f(k) + f(k + 1) + 2 * g(k + 1)
 
 
