@@ -496,7 +496,9 @@ def parse_poly(text: str, variable: Optional[str] = None) -> LaurentPoly:
 
 def poly_to_json(p: LaurentPoly) -> dict:
     """JSON form: coefficients as decimal strings, exponents ascending."""
-    return {"variable": p.variable, "terms": [[e, str(c)] for e, c in p.items()]}
+    # (e, "c") tuples, which json writes as [e, "c"]: the collector untracks a tuple
+    # of atoms, while the ~10^4 lists of a large V would keep full collections busy
+    return {"variable": p.variable, "terms": [(e, str(c)) for e, c in p.items()]}
 
 
 def poly_from_json(obj: dict) -> LaurentPoly:

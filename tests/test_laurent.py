@@ -1,4 +1,6 @@
 import cmath
+import gc
+import json
 
 import pytest
 import sympy
@@ -467,3 +469,12 @@ class TestTextAndJson:
     def test_json_exponents_ascending(self):
         exps = [e for e, _ in poly_to_json(V_41)["terms"]]
         assert exps == sorted(exps)
+
+    def test_json_text_and_untracked_terms(self):
+        obj = poly_to_json(V_41)
+        assert json.dumps(obj) == (
+            '{"variable": "t", "terms": [[-2, "1"], [-1, "-1"], [0, "1"], [1, "-1"], [2, "1"]]}'
+        )
+        # a large V's terms must not stay in the collector's lists
+        gc.collect()
+        assert not any(map(gc.is_tracked, obj["terms"]))
