@@ -24,7 +24,9 @@ the side.  A shift by A^e only moves lo, a sum is one slice addition
 whose zero ends are dropped, and the kink factor is A^-1 (1 - B), one
 stride pass.  Level 0 is converted to cells once, and every BracketLevel
 holds its brackets as cells only: a bracket is decoded into a LaurentPoly
-when it is read, and verify_range turns each cell it reads into V directly.
+when it is read.  verify_range decodes none: it compares each cell's list,
+read backwards with sign (-1)^k, with the closed form's coefficient list
+for V, and the cell's offset with V's top exponent.
 Adding two cells whose offsets differ mod 4 means a broken theorem and
 raises InternalInconsistencyError.
 """
@@ -38,7 +40,14 @@ from typing import Callable
 
 from .errors import InternalInconsistencyError, TagError
 from .laurent import LaurentPoly, _from_dense, _stride_mul
-from .wnk import MAX_TERMS, _check_span, _quotient_one_minus_t2, d_exponents, jones_wnk, writhe_wnk
+from .wnk import (
+    MAX_TERMS,
+    _check_span,
+    _jones_dense,
+    _quotient_one_minus_t2,
+    d_exponents,
+    writhe_wnk,
+)
 
 # (lo, coeffs): sum_j coeffs[j] A^(lo + 4j); [] is zero.  Cells are never
 # changed in place, so two of them may share a list.
@@ -251,18 +260,45 @@ def bracket_wnk(n: int, k: int) -> LaurentPoly:
     return bracket_levels(abs(n), k)[k].bracket(n)
 
 
+def _class_offset(n: int, k: int, cell: Cell) -> int:
+    """lo - 3w for the cell (lo, coeffs) of <W(n,k)>, w the writhe.
+
+    <W(n,k)> = (-1)^k A^(3w) V with V a t-polynomial and t = A^-4, so a
+    nonzero cell's lo - 3w must be 0 mod 4 (zero has no class).
+    """
+    lo, coeffs = cell
+    e = lo - 3 * writhe_wnk(n, k)
+    if coeffs and e & 3:
+        raise InternalInconsistencyError(
+            f"A-exponent {e} not divisible by 4; writhe/bracket mismatch"
+        )
+    return e
+
+
 def _cell_to_jones(n: int, k: int, cell: Cell) -> LaurentPoly:
     """V_{W(n,k)} from the cell of <W(n,k)> = (-1)^k A^(3w) V, w the writhe.
 
     t = A^-4 takes A^(lo + 4j) to t^((3w - lo)/4 - j); lo - 3w must be 0 mod 4.
     """
-    lo, coeffs = cell
-    e = lo - 3 * writhe_wnk(n, k)
-    if coeffs and e & 3:  # zero has no class
-        raise InternalInconsistencyError(
-            f"A-exponent {e} not divisible by 4; writhe/bracket mismatch"
-        )
+    e = _class_offset(n, k, cell)
+    coeffs = cell[1]
     return _from_dense(-e // 4, list(map(neg, coeffs)) if k % 2 else coeffs, "t", -1)
+
+
+def _cell_is_jones(n: int, k: int, cell: Cell) -> bool:
+    """Whether the cell of <W(n,k)> is (-1)^k A^(3w) times the closed form's V.
+
+    The closed form's list, read backwards with sign (-1)^k, must be the
+    cell's list, and its top exponent hi must meet t^hi = A^(-4 hi) at
+    the cell's lowest exponent: lo - 3w = -4 hi.  No polynomial is built
+    on either side, and the closed form reads no cell.
+    """
+    e = _class_offset(n, k, cell)
+    lo_v, v = _jones_dense(n, k)
+    if k % 2:
+        v = list(map(neg, v))
+    v.reverse()
+    return e == -4 * (lo_v + len(v) - 1) and cell[1] == v
 
 
 def bracket_to_jones(n: int, k: int, bracket: LaurentPoly) -> LaurentPoly:
@@ -290,8 +326,9 @@ def verify_range(
     """Compare closed form and bracket recursion cell by cell.
 
     Levels are computed once for the whole sweep; results are ordered by
-    (k, n).  Every entry should be True: disagreement means a bug, not a
-    property of the knot.
+    (k, n).  Each cell's list is compared with the closed form's list
+    (_cell_is_jones): no LaurentPoly is built on either side.  Every entry
+    should be True: disagreement means a bug, not a property of the knot.
     """
     if n_lo > n_hi:
         raise ValueError(f"empty n range: n_lo={n_lo} > n_hi={n_hi}")
@@ -305,6 +342,5 @@ def verify_range(
     for k in range(k_lo, k_hi + 1):
         cells = levels[k].values
         for n in range(n_lo, n_hi + 1):
-            recovered = _cell_to_jones(n, k, _lookup(cells, k, n))
-            results.append((n, k, recovered == jones_wnk(n, k)))
+            results.append((n, k, _cell_is_jones(n, k, _lookup(cells, k, n))))
     return results

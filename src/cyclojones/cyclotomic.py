@@ -90,8 +90,17 @@ def residue(p: LaurentPoly, n: int) -> tuple[int, ...]:
     Ascending coefficients, of length phi(n).  P is first folded modulo
     x^n - 1, which Phi_n divides, so negative exponents need no care.
     """
+    return _fold_residue(_fold(p, n), n)
+
+
+def _fold_residue(folded: list[int], n: int) -> tuple[int, ...]:
+    """P modulo Phi_n from P's fold modulo x^m - 1, for any multiple m of n.
+
+    x^n - 1 divides x^m - 1, so the fold reduces to one modulo x^n - 1 by
+    summing every n-th entry; that one is divided by Phi_n.
+    """
     den = _dense(phi(n))[1]
-    return tuple(_long_division(_fold(p, n), den)[1])
+    return tuple(_long_division([sum(folded[r::n]) for r in range(n)], den)[1])
 
 
 def phi_sym(n: int) -> LaurentPoly:

@@ -2,9 +2,10 @@
 
 A knot Jones polynomial V satisfies V(1) = 1, V'(1) = 0, V(zeta_3) = 1,
 V(i) = +-1 and V(zeta_6) = +-(i*sqrt(3))^s.  All checks here are exact:
-they read the residues of V modulo Phi_N.  The value at zeta_6 is
-a + b*zeta_6, and since i*sqrt(3) = 2*zeta_6 - 1 squares to -3, the
-exponent s follows in closed form from a and b.
+they read the residues of V modulo Phi_N, taken from one fold of V modulo
+x^12 - 1.  The value at zeta_6 is a + b*zeta_6, and since
+i*sqrt(3) = 2*zeta_6 - 1 squares to -3, the exponent s follows in closed
+form from a and b.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from itertools import compress
 from typing import Optional
 
 from .arith import factorint, primes_below
-from .cyclotomic import residue
-from .laurent import MAX_TERMS, LaurentPoly
+from .cyclotomic import _fold_residue
+from .laurent import MAX_TERMS, LaurentPoly, _fold
 from .wnk import f, g
 
 
@@ -53,14 +54,15 @@ def special_value_check(p: LaurentPoly) -> SpecialValueReport:
     if not p:
         raise ValueError("cannot check the zero polynomial")
     at_one, deriv = p.value_and_derivative_at_one()
-    zeta3_ok = residue(p, 3) == (1, 0)
-    at_i = residue(p, 4)
+    folded = _fold(p, 12)  # one pass over V: 3, 4 and 6 all divide 12
+    zeta3_ok = _fold_residue(folded, 3) == (1, 0)
+    at_i = _fold_residue(folded, 4)
     at_i = at_i[0] if at_i in ((1, 0), (-1, 0)) else None
 
     # V(zeta_6) = a + b*zeta_6 must be +-(i*sqrt(3))^s.  As
     # (i*sqrt(3))^2 = -3, s = 2j means a = +-3^j, b = 0, and s = 2j + 1
     # means +-3^j * (2*zeta_6 - 1), that is a = -+3^j, b = -2a.
-    a, b = residue(p, 6)
+    a, b = _fold_residue(folded, 6)
     zeta6_exp = None
     if a and b in (0, -2 * a):
         j, rest = 0, abs(a)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .arith import isprime
-from .cyclotomic import _alternating, phi_sym, phi_tilde
+from .cyclotomic import _alternating, phi_tilde
 from .errors import InexactDivisionError, InternalInconsistencyError
 from .laurent import MAX_TERMS, LaurentPoly, _dense, _from_dense, _stride_div, poly_to_json
 
@@ -91,41 +92,60 @@ def _check_span(n: int, k: int) -> LaurentPoly:
     return d
 
 
-def _quotient_one_minus_t2(numerator: LaurentPoly, shift: int, name: str) -> LaurentPoly:
-    """t^shift * numerator / (1 - t^2), by one stride division.
+def _divide_one_minus_t2(s: list[int], name: str) -> None:
+    """s /= 1 - t^2 in place, by one stride division.
 
     Every closed form divided here is divisible by a theorem, so the two
     remainder entries of the running sum must be zero; a nonzero one
     raises InternalInconsistencyError naming `name`.
     """
-    lo, s = _dense(numerator)
     try:
         _stride_div(s, 2)
     except InexactDivisionError as exc:
         raise InternalInconsistencyError(
             f"{name}: closed-form numerator not divisible by 1 - t^2"
         ) from exc
+
+
+def _quotient_one_minus_t2(numerator: LaurentPoly, shift: int, name: str) -> LaurentPoly:
+    """t^shift * numerator / (1 - t^2), by one stride division."""
+    lo, s = _dense(numerator)
+    _divide_one_minus_t2(s, name)
     return _from_dense(lo + shift, s, numerator.variable)
 
 
-def jones_wnk(n: int, k: int) -> LaurentPoly:
-    """Jones polynomial of W(n,k) by the closed form.
+def _jones_dense(n: int, k: int) -> tuple[int, list[int]]:
+    """V_W(n,k) by the closed form, as (lowest exponent, coefficients).
 
-    The division by t^2 - 1 and the knot conditions V(1) = 1, V'(1) = 0
-    are theorems, so they are asserted on every call and a failure raises
-    rather than returning a wrong value.  (n, k) whose numerator spans more
-    than MAX_TERMS exponents is rejected before anything dense is built.
+    The list has nonzero ends.  The division by t^2 - 1 and the knot
+    conditions V(1) = 1, V'(1) = 0 are theorems, so they are asserted on
+    every call and a failure raises rather than returning a wrong value.
+    (n, k) whose numerator spans more than MAX_TERMS exponents is rejected
+    before anything dense is built.
     """
     d = _check_span(n, k)
-    prefactor_exp = n * (n - 1) // 2 + k * (k - 1) - 2 * n * k
-    # d / (t^2 - 1) == -d / (1 - t^2)
-    v = _quotient_one_minus_t2(-d, prefactor_exp, f"W({n},{k})")
-    value, deriv = v.value_and_derivative_at_one()
+    # d / (t^2 - 1) == -d / (1 - t^2); -d has nonzero ends, and so has the quotient
+    lo, s = _dense(-d)
+    _divide_one_minus_t2(s, f"W({n},{k})")
+    lo += n * (n - 1) // 2 + k * (k - 1) - 2 * n * k
+    # sum_j (lo + j) s[j] == (lo + len) V(1) - sum of the prefix sums of s
+    value = sum(s)
+    deriv = (lo + len(s)) * value - sum(accumulate(s))
     if value != 1 or deriv != 0:
         raise InternalInconsistencyError(
             f"W({n},{k}): V(1)={value}, V'(1)={deriv}; expected (1, 0)"
         )
-    return v
+    return lo, s
+
+
+def jones_wnk(n: int, k: int) -> LaurentPoly:
+    """Jones polynomial of W(n,k) by the closed form: _jones_dense's list, decoded.
+
+    Every call asserts the exact division by t^2 - 1 and V(1) = 1,
+    V'(1) = 0, and an (n, k) over the term budget is refused before
+    anything dense is built.
+    """
+    return _from_dense(*_jones_dense(n, k))
 
 
 def quadruplet(k: int) -> dict[int, SymmetryClass]:
@@ -142,23 +162,23 @@ def classify_symmetry(n: int, k: int) -> SymmetryClass:
     """Which of the four symmetric families (n,k) belongs to, if any.
 
     Driven by the arithmetic condition on (n,k), read from quadruplet(k);
-    V is then checked, since the classification theorem is an equivalence:
-    a member's V must be phi_tilde(m)'s alternating list (no Phi_n is
-    built), and any other V must not be symmetric.  For k = 0 every member
-    is reported NOT_SYMMETRIC (the nontrivial ones genuinely are; the
-    trivial ones have V = 1).
+    V's coefficient list is then checked, since the classification theorem
+    is an equivalence: a member's V must be phi_tilde(m)'s alternating list
+    (no Phi_n and no LaurentPoly is built), and any other V must not be
+    symmetric.  For k = 0 every member is reported NOT_SYMMETRIC (the
+    nontrivial ones genuinely are; the trivial ones have V = 1).
     """
     _check_k(k)
     if k == 0:
         return NOT_SYMMETRIC
     out = quadruplet(k).get(n, NOT_SYMMETRIC)
-    v = jones_wnk(n, k)
+    lo, v = _jones_dense(n, k)
     if out.symmetric:
-        if _dense(v) != _alternating(out.m):
+        if (lo, v) != _alternating(out.m):
             raise InternalInconsistencyError(
                 f"W({n},{k}) classified {out.family.value} but V != phi_tilde({out.m})"
             )
-    elif v.is_symmetric():
+    elif 2 * lo + len(v) == 1 and v == v[::-1]:  # exponents lo..-lo, palindromic
         raise InternalInconsistencyError(
             f"W({n},{k}) classified non-symmetric but V is symmetric"
         )
@@ -257,7 +277,9 @@ def mersenne_knot(p: int) -> MersenneWitness:
 
     Works because N = 2*(2^((p-1)/2))^2 - 1 = g(k+1) with
     k = 2^((p-1)/2) - 1, putting N in the image of g.  V has N terms, so p
-    is rejected before anything is built when N exceeds MAX_TERMS.
+    is rejected before anything is built when N exceeds MAX_TERMS.  V's
+    coefficient list is compared with Phi~_{2N}'s alternating list, which
+    is Phi^sym_{2N} for prime N; no Phi_{2N} is built.
     """
     if p <= 2 or p % 2 == 0:
         raise ValueError("p must be an odd prime exponent > 2")
@@ -270,7 +292,9 @@ def mersenne_knot(p: int) -> MersenneWitness:
     if not isprime(order):
         raise ValueError(f"2^{p} - 1 = {order} is not prime")
     k = 2 ** ((p - 1) // 2) - 1
-    if jones_wnk(2 * k, k) != phi_sym(2 * order):
+    # classify_symmetry proves V == phi_tilde(g(k + 1)) on V's list, and for
+    # the odd prime N, phi_tilde(N) = Phi^sym_{2N}: Phi_{2N}(x) = Phi_N(-x)
+    if classify_symmetry(2 * k, k).m != order:
         raise InternalInconsistencyError(
             f"V_W({2 * k},{k}) != Phi_sym_{2 * order}"
         )

@@ -149,24 +149,15 @@ class TestRunningSums:
 class TestDecodeOnRead:
     @pytest.mark.parametrize("a, k", [(0, 0), (0, 3), (2, 1), (3, 5), (8, 6)])
     def test_only_read_cells_are_decoded(self, monkeypatch, a, k):
-        # verify_range reads (2a + 1)(k + 1) cells, and the recursion itself
-        # decodes none: its S_0 seed is the cell g_0
-        decodes = 0
-        from_dense = cyclojones.bracket._from_dense
-
-        def counting(*args):
-            nonlocal decodes
-            decodes += 1
-            return from_dense(*args)
-
+        # verify_range compares each cell's list with the closed form's list,
+        # and the recursion's S_0 seed is the cell g_0: no cell is decoded
         def refuse(*args):
-            raise AssertionError("a bracket was decoded to an A-polynomial")
+            raise AssertionError("a bracket was decoded to a polynomial")
 
-        monkeypatch.setattr(cyclojones.bracket, "_from_dense", counting)
+        monkeypatch.setattr(cyclojones.bracket, "_from_dense", refuse)
         monkeypatch.setattr(BracketLevel, "bracket", refuse)
         monkeypatch.setattr(cyclojones.bracket, "bracket_to_jones", refuse)
         assert all(ok for _, _, ok in verify_range(-a, a, 0, k))
-        assert 0 < decodes <= (2 * a + 1) * (k + 1)
 
 
 class TestCellToJones:
@@ -335,6 +326,21 @@ class TestOracleEquivalence:
         results = verify_range(-6, 8, 0, 6)
         assert len(results) == 105
         assert all(ok for _, _, ok in results)
+
+    @pytest.mark.parametrize("shift, sign", [(1, 1), (-1, 1), (0, -1)])
+    def test_planted_closed_form_mismatches(self, monkeypatch, shift, sign):
+        # a closed form off by t^shift or by sign disagrees with its cell only
+        true_jones = cyclojones.bracket._jones_dense
+
+        def planted(n, k):
+            lo, v = true_jones(n, k)
+            if (n, k) == (3, 2):
+                return lo + shift, [sign * c for c in v]
+            return lo, v
+
+        monkeypatch.setattr(cyclojones.bracket, "_jones_dense", planted)
+        results = verify_range(-4, 4, 0, 3)
+        assert [(n, k) for n, k, ok in results if not ok] == [(3, 2)]
 
     @pytest.mark.parametrize(
         "bounds, match",

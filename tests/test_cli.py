@@ -90,15 +90,15 @@ class TestVerifyCommand:
 
     @staticmethod
     def _flip_two_cells(monkeypatch):
-        true_jones = cyclojones.bracket.jones_wnk
+        true_jones = cyclojones.bracket._jones_dense
 
         def flipped(n, k):
-            v = true_jones(n, k)
+            lo, v = true_jones(n, k)
             if (n, k) in ((2, 0), (0, 1)):
-                v = v + parse_poly("t^7")  # flip one coefficient
-            return v
+                v[0] = -v[0]  # flip one coefficient
+            return lo, v
 
-        monkeypatch.setattr(cyclojones.bracket, "jones_wnk", flipped)
+        monkeypatch.setattr(cyclojones.bracket, "_jones_dense", flipped)
 
     def test_injected_fault_exits_2(self, capsys, monkeypatch):
         # mismatches are listed in (k, n) order, the order verify_range returns
@@ -269,12 +269,25 @@ class TestMersenneCommand:
 
     def test_over_budget_exits_1(self, capsys, monkeypatch):
         def refuse(n, k):
-            raise AssertionError(f"jones_wnk({n}, {k}) was called")
+            raise AssertionError(f"_jones_dense({n}, {k}) was called")
 
-        monkeypatch.setattr(cyclojones.wnk, "jones_wnk", refuse)
+        monkeypatch.setattr(cyclojones.wnk, "_jones_dense", refuse)
         code, out, err = run(capsys, "mersenne", "-p", "31")
         assert code == 1 and not out
         assert "2^31 - 1 terms" in err and "budget" in err
+
+    def test_planted_coefficient_exits_2(self, capsys, monkeypatch):
+        true_jones = cyclojones.wnk._jones_dense
+
+        def flipped(n, k):
+            lo, v = true_jones(n, k)
+            v[0] = -v[0]
+            return lo, v
+
+        monkeypatch.setattr(cyclojones.wnk, "_jones_dense", flipped)
+        code, out, err = run(capsys, "mersenne", "-p", "5")
+        assert code == 2 and not out
+        assert "W(6,3)" in err
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "mersenne", "-p", "3", "--format", "json")

@@ -2,13 +2,14 @@ import json
 
 import pytest
 
-from cyclojones.cyclotomic import phi, phi_sym
+from cyclojones.cyclotomic import phi, phi_sym, residue
 from cyclojones.laurent import MAX_TERMS, LaurentPoly
 from cyclojones.obstructions import (
     excluded_phi_index,
     open_question_candidates,
     phitilde_admissible,
     realized_orders,
+    SpecialValueReport,
     special_value_check,
 )
 from cyclojones.wnk import jones_wnk
@@ -71,6 +72,31 @@ class TestSpecialValueCheck:
         for n in range(-6, 9):
             for k in range(0, 6):
                 assert special_value_check(jones_wnk(n, k)).passes_all, (n, k)
+
+    @staticmethod
+    def separate_residues_report(p):
+        # the report from three residue calls, one fold of p per root order
+        at_i = residue(p, 4)
+        a, b = residue(p, 6)
+        zeta6_exp = None
+        for s in range(64):
+            j, odd = divmod(s, 2)
+            if (abs(a), b) == (3**j, -2 * a if odd else 0):
+                zeta6_exp = s
+                break
+        return SpecialValueReport(
+            *p.value_and_derivative_at_one(),
+            residue(p, 3) == (1, 0),
+            at_i[0] if at_i in ((1, 0), (-1, 0)) else None,
+            zeta6_exp,
+        )
+
+    def test_one_fold_matches_separate_residues(self):
+        polys = [jones_wnk(n, k) for n in range(-12, 13) for k in range(0, 7)]
+        polys += [jones_wnk(136, 68), phi_sym(6), LaurentPoly({3: 1})]
+        polys.append(LaurentPoly({-7: 3, 5: -2, 11: 9}))
+        for p in polys:
+            assert special_value_check(p) == self.separate_residues_report(p)
 
     def test_zeta6_exponent_matches_modulus(self):
         # |V(zeta_6)| must equal sqrt(3)^s for the reported s

@@ -1,10 +1,11 @@
 import pytest
 
 import cyclojones.wnk
-from cyclojones.cyclotomic import is_cyclotomic_product, phi, phi_sym, phi_tilde
+from cyclojones.cyclotomic import _alternating, is_cyclotomic_product, phi, phi_sym, phi_tilde
 from cyclojones.errors import InternalInconsistencyError
-from cyclojones.laurent import LaurentPoly, parse_poly
+from cyclojones.laurent import LaurentPoly, _from_dense, parse_poly
 from cyclojones.wnk import (
+    _jones_dense,
     Family,
     FamilyParams,
     classify_symmetry,
@@ -56,6 +57,17 @@ class TestJonesWnk:
         # division exactness and (V(1), V'(1)) == (1, 0) are asserted inside
         v = jones_wnk(n, k)
         assert v.value_and_derivative_at_one() == (1, 0)
+
+    def test_dense_list_matches_sparse_division(self):
+        # the reference divides by 1 - t^2 with _long_division, not the stride kernel
+        one_minus_t2 = LaurentPoly({0: 1, 2: -1})
+        for n in range(-40, 41):
+            for k in range(0, 21):
+                lo, v = _jones_dense(n, k)
+                assert v[0] and v[-1], (n, k)
+                shift = n * (n - 1) // 2 + k * (k - 1) - 2 * n * k
+                reference = (-d_polynomial(n, k)).divide_exact(one_minus_t2).shift(shift)
+                assert _from_dense(lo, v) == reference, (n, k)
 
     def test_kink_reflection_at_k_zero(self):
         for n in range(-8, 8):
@@ -123,6 +135,12 @@ class TestClassifySymmetry:
                 assert classify_symmetry(n, k) == expected
         assert phi.cache_info().currsize == 0
         assert phi_tilde.cache_info().currsize == 0
+
+    def test_planted_symmetric_non_member_raises(self, monkeypatch):
+        # the equivalence's other half: a non-member's V must not be symmetric
+        monkeypatch.setattr(cyclojones.wnk, "_jones_dense", lambda n, k: _alternating(5))
+        with pytest.raises(InternalInconsistencyError, match=r"W\(2,4\).*V is symmetric"):
+            classify_symmetry(2, 4)
 
     def test_symmetric_cases_factor_cyclotomically(self):
         for k in range(1, 7):
@@ -209,16 +227,16 @@ class TestGenerateTable:
 
     @pytest.mark.parametrize("k_max", [1, 3, 6])
     def test_rows_take_the_proved_phi_tilde(self, monkeypatch, k_max):
-        # classify_symmetry's one jones_wnk call per row proves V == phi_tilde(m)
+        # classify_symmetry's one closed-form list per row proves V == phi_tilde(m)
         calls = 0
-        original = cyclojones.wnk.jones_wnk
+        original = cyclojones.wnk._jones_dense
 
         def counting(n, k):
             nonlocal calls
             calls += 1
             return original(n, k)
 
-        monkeypatch.setattr(cyclojones.wnk, "jones_wnk", counting)
+        monkeypatch.setattr(cyclojones.wnk, "_jones_dense", counting)
         rows = generate_table(k_max)
         assert calls == 4 * k_max
         for i in range(0, len(rows), 4):
@@ -226,8 +244,13 @@ class TestGenerateTable:
 
     def test_unproved_phi_tilde_raises(self, monkeypatch):
         # a V that is not phi_tilde(m)'s alternating list fails the member's check
-        original = cyclojones.wnk.jones_wnk
-        monkeypatch.setattr(cyclojones.wnk, "jones_wnk", lambda n, k: original(n, k).shift(1))
+        original = cyclojones.wnk._jones_dense
+
+        def shifted(n, k):
+            lo, v = original(n, k)
+            return lo + 1, v
+
+        monkeypatch.setattr(cyclojones.wnk, "_jones_dense", shifted)
         with pytest.raises(InternalInconsistencyError, match=r"V != phi_tilde"):
             classify_symmetry(8, 4)
         with pytest.raises(InternalInconsistencyError, match=r"V != phi_tilde"):
@@ -267,6 +290,14 @@ class TestQuotientCheck:
         # -t^7 + t^4 + t^3 - t^2 + t - 1 vanishes at t = 1 but not at t = -1
         monkeypatch.setattr(cyclojones.wnk, "d_exponents", lambda n, k: (7, 4, 3, 2, 1, 0))
         with pytest.raises(InternalInconsistencyError, match=r"W\(3,1\).*not divisible"):
+            jones_wnk(3, 1)
+
+    def test_planted_derivative_raises(self, monkeypatch):
+        # W(1,1)'s numerator under W(3,1)'s prefactor t^-3 instead of t^-2:
+        # V(1) = 1 still, but the shift by t^-1 makes V'(1) = -1
+        true_exponents = cyclojones.wnk.d_exponents
+        monkeypatch.setattr(cyclojones.wnk, "d_exponents", lambda n, k: true_exponents(1, 1))
+        with pytest.raises(InternalInconsistencyError, match=r"W\(3,1\): V\(1\)=1, V'\(1\)=-1"):
             jones_wnk(3, 1)
 
     def test_division_reached_for_a_cell(self, monkeypatch):
@@ -320,9 +351,9 @@ class TestMersenne:
 
     def test_over_budget_rejected_before_building(self, monkeypatch):
         def refuse(n, k):
-            raise AssertionError(f"jones_wnk({n}, {k}) was called")
+            raise AssertionError(f"_jones_dense({n}, {k}) was called")
 
-        monkeypatch.setattr(cyclojones.wnk, "jones_wnk", refuse)
+        monkeypatch.setattr(cyclojones.wnk, "_jones_dense", refuse)
         with pytest.raises(ValueError, match="budget"):
             mersenne_knot(31)  # 2^31 - 1 terms
 
@@ -334,6 +365,23 @@ class TestMersenne:
         def reached(n, k):
             raise Reached
 
-        monkeypatch.setattr(cyclojones.wnk, "jones_wnk", reached)
+        monkeypatch.setattr(cyclojones.wnk, "_jones_dense", reached)
         with pytest.raises(Reached):
             mersenne_knot(p)
+
+    def test_planted_coefficient_raises(self, monkeypatch):
+        original = cyclojones.wnk._jones_dense
+
+        def flipped(n, k):
+            lo, v = original(n, k)
+            v[len(v) // 2] = -v[len(v) // 2]
+            return lo, v
+
+        monkeypatch.setattr(cyclojones.wnk, "_jones_dense", flipped)
+        with pytest.raises(InternalInconsistencyError, match=r"W\(6,3\)"):
+            mersenne_knot(5)
+
+    @pytest.mark.parametrize("order", [7, 31, 127, 8191])
+    def test_alternating_list_is_phi_sym(self, order):
+        # the identity mersenne_knot relies on: Phi_{2N}(x) = Phi_N(-x) for odd prime N
+        assert phi_sym(2 * order) == _from_dense(*_alternating(order))
