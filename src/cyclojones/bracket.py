@@ -22,11 +22,10 @@ the recursion runs on dense cells (lo, coeffs) standing for
 sum_j coeffs[j] A^(lo + 4j), a list in B = A^4 with the offset kept on
 the side.  A shift by A^e only moves lo, a sum is one slice addition
 whose zero ends are dropped, and the kink factor is A^-1 (1 - B), one
-stride pass.  Level 0 is converted to cells once, and every BracketLevel
-holds its brackets as cells only: a bracket is decoded into a LaurentPoly
-when it is read.  verify_range decodes none: it compares each cell's list,
-read backwards with sign (-1)^k, with the closed form's coefficient list
-for V, and the cell's offset with V's top exponent.
+stride pass.  One map, _jones_cell, takes V's list to the cell of
+(-1)^k A^(3w) V(A^-4): level 0 is that cell of each torus knot's list,
+and verify_range compares each cell with that cell of the closed form's
+list.  A BracketLevel holds cells only, decoded when a bracket is read.
 Adding two cells whose offsets differ mod 4 means a broken theorem and
 raises InternalInconsistencyError.
 """
@@ -39,40 +38,47 @@ from operator import add, neg, sub
 from typing import Callable
 
 from .errors import InternalInconsistencyError, TagError
-from .laurent import LaurentPoly, _from_dense, _stride_mul
-from .wnk import (
-    MAX_TERMS,
-    _check_span,
-    _jones_dense,
-    _quotient_one_minus_t2,
-    d_exponents,
-    writhe_wnk,
-)
+from .laurent import LaurentPoly, _dense, _from_dense, _stride_mul
+from .wnk import MAX_TERMS, _closed_form, _jones_dense, d_exponents, writhe_wnk
 
 # (lo, coeffs): sum_j coeffs[j] A^(lo + 4j); [] is zero.  Cells are never
 # changed in place, so two of them may share a list.
 Cell = tuple[int, list[int]]
 
 
-def torus_jones(p: int, q: int) -> LaurentPoly:
-    """Jones polynomial of the (p,q) torus knot, p, q >= 1 coprime."""
+def _torus_dense(p: int, q: int) -> tuple[int, list[int]]:
+    """V of the (p,q) torus knot as (lowest exponent, coefficients)."""
     if p < 1 or q < 1:
         raise ValueError("torus parameters must be >= 1")
     if math.gcd(p, q) != 1:
         raise ValueError(f"({p},{q}) is not coprime")
-    numerator = LaurentPoly([(0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)])
-    return _quotient_one_minus_t2(numerator, (p - 1) * (q - 1) // 2, f"T({p},{q})")
+    numerator = [(0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)]
+    return _closed_form(numerator, (p - 1) * (q - 1) // 2, f"T({p},{q})")
+
+
+def torus_jones(p: int, q: int) -> LaurentPoly:
+    """Jones polynomial of the (p,q) torus knot, p, q >= 1 coprime, under the span rule."""
+    return _from_dense(*_torus_dense(p, q))
+
+
+def _jones_cell(n: int, k: int, lo: int, v: list[int]) -> Cell:
+    """The cell of <W(n,k)> = (-1)^k A^(3w) V(A^-4), w the writhe, V's list (lo, v).
+
+    It is v read backwards with sign (-1)^k, from A^(3w - 4 * V's top exponent).
+    """
+    cell = v[::-1] if k % 2 == 0 else list(map(neg, reversed(v)))
+    return 3 * writhe_wnk(n, k) - 4 * (lo + len(v) - 1), cell
+
+
+def _base_cell(n: int) -> Cell:
+    """The cell of <W(n,0)>: T(n', n'+1)'s list, n' = n for n >= 0 and -1-n below."""
+    n_eff = n if n >= 0 else -1 - n
+    return _jones_cell(n, 0, *(_torus_dense(n_eff, n_eff + 1) if n_eff else (0, [1])))
 
 
 def bracket_wnk_base(n: int) -> LaurentPoly:
-    """<W(n,0)>: an oval with n arrows, i.e. the torus knot T(n', n'+1).
-
-    n' is n for n >= 0 and -1-n for n < 0; the bracket is the torus Jones
-    polynomial pushed to A-world with the writhe of W(n,0).
-    """
-    n_eff = n if n >= 0 else -1 - n
-    v = LaurentPoly.one() if n_eff == 0 else torus_jones(n_eff, n_eff + 1)
-    return jones_to_bracket(n, 0, v)
+    """<W(n,0)>: an oval with n arrows, i.e. the torus knot T(n', n'+1); _base_cell decoded."""
+    return _from_dense(*_base_cell(n), "A", 4)
 
 
 def _lookup(values: dict, k: int, n: int):
@@ -238,7 +244,7 @@ def bracket_levels(n_abs_max: int, k_max: int) -> list[BracketLevel]:
     """
     _check_budget(n_abs_max, k_max)
     first, *rest = _windows(n_abs_max, k_max)
-    base = {n: _cell(bracket_wnk_base(n)) for n in range(-first, first + 1)}
+    base = {n: _base_cell(n) for n in range(-first, first + 1)}
     levels = [BracketLevel(0, base)]
     for window in rest:
         levels.append(_next_level(levels[-1], window))
@@ -249,13 +255,12 @@ def bracket_wnk(n: int, k: int) -> LaurentPoly:
     """<W(n,k)> by the level recursion (variable A).
 
     Raises ValueError before building anything when the cell is over the
-    budget: for k = 0, by jones_wnk's check that d_polynomial(n, 0) spans
-    at most MAX_TERMS exponents; for k >= 1, as in bracket_levels.
+    budget: for k = 0, by the torus builder's span rule (T(n', n'+1) spans
+    what d_polynomial(n, 0) spans, 2n' + 1); for k >= 1, as in bracket_levels.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
-        _check_span(n, 0)
         return bracket_wnk_base(n)
     return bracket_levels(abs(n), k)[k].bracket(n)
 
@@ -286,19 +291,9 @@ def _cell_to_jones(n: int, k: int, cell: Cell) -> LaurentPoly:
 
 
 def _cell_is_jones(n: int, k: int, cell: Cell) -> bool:
-    """Whether the cell of <W(n,k)> is (-1)^k A^(3w) times the closed form's V.
-
-    The closed form's list, read backwards with sign (-1)^k, must be the
-    cell's list, and its top exponent hi must meet t^hi = A^(-4 hi) at
-    the cell's lowest exponent: lo - 3w = -4 hi.  No polynomial is built
-    on either side, and the closed form reads no cell.
-    """
-    e = _class_offset(n, k, cell)
-    lo_v, v = _jones_dense(n, k)
-    if k % 2:
-        v = list(map(neg, v))
-    v.reverse()
-    return e == -4 * (lo_v + len(v) - 1) and cell[1] == v
+    """Whether the cell of <W(n,k)> passes the mod-4 check and is _jones_cell of V's list."""
+    _class_offset(n, k, cell)
+    return cell == _jones_cell(n, k, *_jones_dense(n, k))
 
 
 def bracket_to_jones(n: int, k: int, bracket: LaurentPoly) -> LaurentPoly:
@@ -313,11 +308,10 @@ def bracket_to_jones(n: int, k: int, bracket: LaurentPoly) -> LaurentPoly:
 
 
 def jones_to_bracket(n: int, k: int, v: LaurentPoly) -> LaurentPoly:
-    """Inverse of bracket_to_jones."""
+    """Inverse of bracket_to_jones: _jones_cell of V's list, decoded."""
     if v.variable != "t":
         raise TagError("Jones polynomial must be a t-polynomial")
-    sign = -1 if k % 2 else 1
-    return v.substitute_power(-4, "A").scale(sign, 3 * writhe_wnk(n, k))
+    return _from_dense(*_jones_cell(n, k, *(_dense(v) if v else (0, []))), "A", 4)
 
 
 def verify_range(

@@ -14,7 +14,7 @@ import click
 
 from . import bracket, cyclotomic, obstructions, wnk
 from .errors import CyclojonesError, InternalInconsistencyError
-from .laurent import MAX_TERMS, poly_to_json, print_poly
+from .laurent import poly_to_json, print_poly
 
 
 def _parse_range(text: str) -> range:
@@ -100,11 +100,8 @@ def cmd_classify(k_max, n_range, fmt):
         for k in range(1, k_max + 1):
             yield from ((n, k) for n in (ns or wnk.quadruplet(k)))
 
-    # jones_wnk's span rule, before any V is built; the raw exponents bound the span
-    for n, k in members():
-        e = wnk.d_exponents(n, k)
-        if max(e) - min(e) > MAX_TERMS:
-            wnk._check_span(n, k)
+    for n, k in members():  # jones_wnk's span rule, before any V is built
+        wnk._check_span(n, k)
     rows = [(n, k, wnk.classify_symmetry(n, k)) for n, k in members()]
     if fmt == "json":
         click.echo(json.dumps([

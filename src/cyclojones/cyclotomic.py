@@ -90,6 +90,8 @@ def residue(p: LaurentPoly, n: int) -> tuple[int, ...]:
     Ascending coefficients, of length phi(n).  P is first folded modulo
     x^n - 1, which Phi_n divides, so negative exponents need no care.
     """
+    if n < 1:
+        raise ValueError("cyclotomic index must be >= 1")
     return _fold_residue(_fold(p, n), n)
 
 

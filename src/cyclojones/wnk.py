@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .arith import isprime
 from .cyclotomic import _alternating, phi_tilde
 from .errors import InexactDivisionError, InternalInconsistencyError
-from .laurent import MAX_TERMS, LaurentPoly, _dense, _from_dense, _stride_div, poly_to_json
+from .laurent import MAX_TERMS, LaurentPoly, _from_dense, _stride_div, poly_to_json
 
 
 class FamilyParams(NamedTuple):
@@ -81,53 +81,60 @@ def d_polynomial(n: int, k: int) -> LaurentPoly:
     return LaurentPoly(zip(d_exponents(n, k), (-1, 1, 1, -1, 1, -1)))
 
 
-def _check_span(n: int, k: int) -> LaurentPoly:
-    """d_polynomial(n, k), or ValueError when it spans more than MAX_TERMS exponents."""
-    d = d_polynomial(n, k)
-    if d.span() > MAX_TERMS:
+def _merged(terms: Iterable[tuple[int, int]], name: str) -> list[tuple[int, int]]:
+    """A nonzero sum's terms, ascending; ValueError if they span over MAX_TERMS exponents."""
+    merged: dict[int, int] = {}
+    for e, c in terms:
+        merged[e] = merged.get(e, 0) + c
+    out = sorted((e, c) for e, c in merged.items() if c)
+    span = out[-1][0] - out[0][0]
+    if span > MAX_TERMS:
         raise ValueError(
-            f"W({n},{k}): the closed form spans {d.span()} exponents, over the "
+            f"{name}: the closed form spans {span} exponents, over the "
             f"budget of {MAX_TERMS} terms"
         )
-    return d
+    return out
 
 
-def _divide_one_minus_t2(s: list[int], name: str) -> None:
-    """s /= 1 - t^2 in place, by one stride division.
+def _check_span(n: int, k: int) -> None:
+    """ValueError when d_polynomial(n, k) spans more than MAX_TERMS exponents."""
+    _merged(zip(d_exponents(n, k), (-1, 1, 1, -1, 1, -1)), f"W({n},{k})")
 
-    Every closed form divided here is divisible by a theorem, so the two
-    remainder entries of the running sum must be zero; a nonzero one
-    raises InternalInconsistencyError naming `name`.
+
+def _closed_form(
+    terms: Iterable[tuple[int, int]], shift: int, name: str
+) -> tuple[int, list[int]]:
+    """t^shift * (sum of the terms) / (1 - t^2) as (lowest exponent, coefficients).
+
+    The span rule runs first.  Every closed form is divisible by a theorem,
+    so a remainder raises InternalInconsistencyError naming `name`.
     """
+    merged = _merged(terms, name)
+    lo = merged[0][0]
+    s = [0] * (merged[-1][0] - lo + 1)
+    for e, c in merged:
+        s[e - lo] = c
     try:
         _stride_div(s, 2)
     except InexactDivisionError as exc:
         raise InternalInconsistencyError(
             f"{name}: closed-form numerator not divisible by 1 - t^2"
         ) from exc
-
-
-def _quotient_one_minus_t2(numerator: LaurentPoly, shift: int, name: str) -> LaurentPoly:
-    """t^shift * numerator / (1 - t^2), by one stride division."""
-    lo, s = _dense(numerator)
-    _divide_one_minus_t2(s, name)
-    return _from_dense(lo + shift, s, numerator.variable)
+    return lo + shift, s
 
 
 def _jones_dense(n: int, k: int) -> tuple[int, list[int]]:
     """V_W(n,k) by the closed form, as (lowest exponent, coefficients).
 
-    The list has nonzero ends.  The division by t^2 - 1 and the knot
-    conditions V(1) = 1, V'(1) = 0 are theorems, so they are asserted on
-    every call and a failure raises rather than returning a wrong value.
-    (n, k) whose numerator spans more than MAX_TERMS exponents is rejected
-    before anything dense is built.
+    d / (t^2 - 1) is -d / (1 - t^2), read by _closed_form from d's six terms
+    with their signs negated; the list has nonzero ends.  The division and
+    V(1) = 1, V'(1) = 0 are theorems, asserted on every call.  (n, k) whose
+    numerator spans more than MAX_TERMS exponents is refused before anything
+    dense is built.
     """
-    d = _check_span(n, k)
-    # d / (t^2 - 1) == -d / (1 - t^2); -d has nonzero ends, and so has the quotient
-    lo, s = _dense(-d)
-    _divide_one_minus_t2(s, f"W({n},{k})")
-    lo += n * (n - 1) // 2 + k * (k - 1) - 2 * n * k
+    _check_k(k)
+    shift = n * (n - 1) // 2 + k * (k - 1) - 2 * n * k
+    lo, s = _closed_form(zip(d_exponents(n, k), (1, -1, -1, 1, -1, 1)), shift, f"W({n},{k})")
     # sum_j (lo + j) s[j] == (lo + len) V(1) - sum of the prefix sums of s
     value = sum(s)
     deriv = (lo + len(s)) * value - sum(accumulate(s))

@@ -1,3 +1,4 @@
+import math
 from operator import add, sub
 
 import pytest
@@ -21,10 +22,15 @@ from cyclojones.bracket import (
 )
 from cyclojones.errors import InexactDivisionError, InternalInconsistencyError, TagError
 from cyclojones.laurent import LaurentPoly, _from_dense, parse_poly
-from cyclojones.wnk import d_exponents, jones_wnk
+from cyclojones.wnk import d_exponents, jones_wnk, writhe_wnk
 
 A_MINUS_8_MINUS_1 = LaurentPoly({-8: 1, 0: -1}, "A")
 A_KINK = LaurentPoly({-1: 1, 3: -1}, "A")  # A^-1 - A^3
+
+
+def reference_bracket(n, k, v):
+    """<W(n,k)> = (-1)^k A^(3w) V(A^-4), written on the term dict."""
+    return v.substitute_power(-4, "A").scale((-1) ** k, 3 * writhe_wnk(n, k))
 
 
 class TestTorusJones:
@@ -49,6 +55,28 @@ class TestTorusJones:
         with pytest.raises(ValueError):
             torus_jones(2, 4)
 
+    def test_matches_long_division(self):
+        for p in range(1, 31):
+            for q in range(1, 31):
+                if math.gcd(p, q) == 1:
+                    numerator = LaurentPoly([(0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)])
+                    quotient = numerator.divide_exact(LaurentPoly({0: 1, 2: -1}))
+                    assert torus_jones(p, q) == quotient.shift((p - 1) * (q - 1) // 2)
+
+    def test_span_rule_before_the_division(self, monkeypatch):
+        # T(m, m+1) spans 2m + 1 exponents: m = 2^19 is the first over the budget
+        class Reached(Exception):
+            pass
+
+        def reached(s, d):
+            raise Reached
+
+        monkeypatch.setattr(cyclojones.wnk, "_stride_div", reached)
+        with pytest.raises(ValueError, match="budget"):
+            torus_jones(2**19, 2**19 + 1)
+        with pytest.raises(Reached):
+            torus_jones(2**19 - 1, 2**19)
+
     def test_k_zero_column_matches_closed_form(self):
         for n in range(2, 9):
             assert jones_wnk(n, 0) == torus_jones(n, n + 1)
@@ -65,6 +93,14 @@ class TestBracketBase:
 
     def test_n_two(self):
         assert bracket_wnk_base(2) == LaurentPoly({14: 1, 6: 1, 2: -1}, "A")
+
+    def test_cells_match_the_dict_formula(self):
+        # level 0 against (-1)^k A^(3w) V(A^-4) on the torus knot's term dict
+        level = bracket_levels(56, 1)[0]
+        for n in range(-60, 61):
+            m = n if n >= 0 else -1 - n
+            v = torus_jones(m, m + 1) if m else LaurentPoly.one()
+            assert level.values[n] == _cell(reference_bracket(n, 0, v))
 
     def test_negative_reflection(self):
         # W(n,0) and W(-1-n,0) are the same knot but framed differently,
@@ -160,6 +196,28 @@ class TestDecodeOnRead:
         assert all(ok for _, _, ok in verify_range(-a, a, 0, k))
 
 
+class TestNoPolynomialOnTheSweep:
+    def test_only_the_seeds_are_built(self, monkeypatch):
+        # the sweep builds one LaurentPoly per level above 0: the zero S_-1 from s_sum
+        built = 0
+        init, new = LaurentPoly.__init__, LaurentPoly._new.__func__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        def counting_new(cls, *args):
+            nonlocal built
+            built += 1
+            return new(cls, *args)
+
+        monkeypatch.setattr(LaurentPoly, "__init__", counting_init)
+        monkeypatch.setattr(LaurentPoly, "_new", classmethod(counting_new))
+        assert all(ok for _, _, ok in verify_range(-6, 8, 0, 5))
+        assert built == 5
+
+
 class TestCellToJones:
     def test_matches_bracket_to_jones(self):
         for level in bracket_levels(12, 8):
@@ -191,6 +249,24 @@ class TestTrimmedCells:
         assert entries <= budget
 
 
+def shifted_base_level(monkeypatch):
+    # level 0 with the cell of <W(1,0)> moved by A^1: the recursion's sums refuse it
+    base = cyclojones.bracket._base_cell
+
+    def planted(n):
+        lo, coeffs = base(n)
+        return (lo + 1, coeffs) if n == 1 else (lo, coeffs)
+
+    monkeypatch.setattr(cyclojones.bracket, "_base_cell", planted)
+    bracket_levels(2, 2)
+
+
+def one_term_off(monkeypatch):
+    # a bracket with one term outside its class is no cell: _cell refuses it
+    b = bracket_wnk_base(1)
+    bracket_to_jones(1, 0, b + LaurentPoly({b.max_exp + 1: 1}, "A"))
+
+
 class TestModFourCheck:
     """The A-exponents of one bracket lie in one class mod 4 (a theorem)."""
 
@@ -218,19 +294,11 @@ class TestModFourCheck:
             assert _from_dense(*cyclojones.bracket._cell_add(y, x, op), "A", 4) == op(py, px)
 
     @pytest.mark.parametrize(
-        "plant",
-        [lambda b: b.shift(1), lambda b: b + LaurentPoly({b.max_exp + 1: 1}, "A")],
-        ids=["whole cell shifted", "one term off"],
+        "plant", [shifted_base_level, one_term_off], ids=["whole cell shifted", "one term off"]
     )
     def test_planted_odd_exponent_raises(self, monkeypatch, plant):
-        base = cyclojones.bracket.bracket_wnk_base
-
-        def planted(n):
-            return plant(base(n)) if n == 1 else base(n)
-
-        monkeypatch.setattr(cyclojones.bracket, "bracket_wnk_base", planted)
         with pytest.raises(InternalInconsistencyError, match="differ mod 4"):
-            bracket_levels(2, 2)
+            plant(monkeypatch)
 
     def test_narrow_window_names_the_missing_cell(self):
         level = BracketLevel(0, {n: _cell(bracket_wnk_base(n)) for n in range(-4, 5)})
@@ -269,21 +337,20 @@ class TestBracketWnk:
             assert bracket_wnk(n, 0) == bracket_wnk_base(n)
 
     def test_k_zero_oversized_rejected_before_building(self, monkeypatch):
-        def refuse(p, q):
-            raise AssertionError("torus_jones was called")
+        def refuse(s, d):
+            raise AssertionError("the stride division was called")
 
-        monkeypatch.setattr(cyclojones.bracket, "torus_jones", refuse)
+        monkeypatch.setattr(cyclojones.wnk, "_stride_div", refuse)
         for n in (2**20, -(2**20)):
             with pytest.raises(ValueError, match="budget"):
                 bracket_wnk(n, 0)
 
     def test_k_zero_refuses_what_jones_refuses(self, monkeypatch):
-        # jones_wnk reaches the division only for a cell inside the budget
+        # both closed forms reach the division only for a numerator inside the budget
         def stop(s, d):
             raise InexactDivisionError("the stride division was reached")
 
         monkeypatch.setattr(cyclojones.wnk, "_stride_div", stop)
-        monkeypatch.setattr(cyclojones.bracket, "bracket_wnk_base", lambda n: "built")
         for n in (2**19 - 1, 2**19, -(2**19) + 1, -(2**19), -(2**19) - 1):
             try:
                 jones_wnk(n, 0)
@@ -291,7 +358,8 @@ class TestBracketWnk:
                 with pytest.raises(ValueError, match="budget"):
                     bracket_wnk(n, 0)
             except InternalInconsistencyError:
-                assert bracket_wnk(n, 0) == "built"
+                with pytest.raises(InternalInconsistencyError, match="not divisible"):
+                    bracket_wnk(n, 0)
 
     def test_k_zero_within_budget(self):
         b = bracket_wnk(1000, 0)
@@ -313,6 +381,13 @@ class TestConversion:
     def test_bad_exponent_rejected(self):
         with pytest.raises(InternalInconsistencyError, match="not divisible by 4"):
             bracket_to_jones(0, 0, LaurentPoly({1: 1}, "A"))
+
+    def test_jones_to_bracket_matches_the_dict_formula(self):
+        for k in range(7):
+            for n in range(-12, 13):
+                v = jones_wnk(n, k)
+                assert jones_to_bracket(n, k, v) == reference_bracket(n, k, v)
+        assert jones_to_bracket(3, 1, LaurentPoly.zero()) == LaurentPoly.zero("A")
 
     def test_wrong_variable_rejected(self):
         with pytest.raises(TagError):
@@ -362,9 +437,9 @@ class TestOracleEquivalence:
     )
     def test_oversized_rejected_before_building(self, monkeypatch, call):
         def refuse(n):
-            raise AssertionError("bracket_wnk_base was called")
+            raise AssertionError("_base_cell was called")
 
-        monkeypatch.setattr(cyclojones.bracket, "bracket_wnk_base", refuse)
+        monkeypatch.setattr(cyclojones.bracket, "_base_cell", refuse)
         with pytest.raises(ValueError, match="budget"):
             call()
 
@@ -376,7 +451,7 @@ class TestOracleEquivalence:
         def reached(n):
             raise Reached
 
-        monkeypatch.setattr(cyclojones.bracket, "bracket_wnk_base", reached)
+        monkeypatch.setattr(cyclojones.bracket, "_base_cell", reached)
         with pytest.raises(Reached):
             verify_range(-40, 40, 0, 20)
 

@@ -127,12 +127,14 @@ class TestVerifyCommand:
         assert "not divisible by 4" in err
 
     def test_odd_bracket_exponent_exits_2(self, capsys, monkeypatch):
-        true_base = cyclojones.bracket.bracket_wnk_base
+        # the level-0 cell of <W(1,0)> moved by A^1, out of its class mod 4
+        true_base = cyclojones.bracket._base_cell
 
         def planted(n):
-            return true_base(n).shift(1) if n == 1 else true_base(n)
+            lo, coeffs = true_base(n)
+            return (lo + 1, coeffs) if n == 1 else (lo, coeffs)
 
-        monkeypatch.setattr(cyclojones.bracket, "bracket_wnk_base", planted)
+        monkeypatch.setattr(cyclojones.bracket, "_base_cell", planted)
         code, _, err = run(capsys, "verify", "--n", "0..2", "--k", "0..1")
         assert code == 2
         assert "differ mod 4" in err

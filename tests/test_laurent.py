@@ -352,6 +352,12 @@ class TestResidueEvaluation:
     def test_t_to_the_five_mod_phi5(self):
         assert residue(P("t^5"), 5) == (1, 0, 0, 0)
 
+    @pytest.mark.parametrize("p", [LaurentPoly.zero(), V_41], ids=["zero", "V_41"])
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_index_below_one_refused(self, p, order):
+        with pytest.raises(ValueError, match="cyclotomic index must be >= 1"):
+            residue(p, order)
+
     @pytest.mark.parametrize("order", range(2, 31))
     def test_inverse_resolution(self, order):
         # t * t^(order-1) reduces to 1
