@@ -18,32 +18,98 @@ to two indices wider than the one it produces, so the windows shrink by
 two per level.
 
 Every A-exponent of <W(n,k)> is congruent to 3w mod 4 (w the writhe), so
-the recursion runs on dense cells (lo, coeffs) standing for
-sum_j coeffs[j] A^(lo + 4j), a list in B = A^4 with the offset kept on
-the side.  A shift by A^e only moves lo, a sum is one slice addition
-whose zero ends are dropped, and the kink factor is A^-1 (1 - B), one
-stride pass.  One map, _jones_cell, takes V's list to the cell of
-(-1)^k A^(3w) V(A^-4): level 0 is that cell of each torus knot's list,
-and verify_range compares each cell with that cell of the closed form's
-list.  A BracketLevel holds cells only, decoded when a bracket is read.
-Adding two cells whose offsets differ mod 4 means a broken theorem and
-raises InternalInconsistencyError.
+the recursion runs on packed cells (lo, x): the polynomial
+sum_j c_j A^(lo + 4j), a list in B = A^4 with the offset kept on the side,
+packed as the one integer x = sum_j c_j 2^(32j) (Kronecker substitution
+B = 2^32).  A shift by A^e only moves lo, a sum is one big-integer add of
+the operand with the higher offset shifted up, and the kink factor
+A^-1 (1 - B) takes x to x - (x << 32).  Adding two cells whose offsets
+differ mod 4 means a broken theorem and raises InternalInconsistencyError.
+
+Packed arithmetic is exact, and packed equality is polynomial equality as
+long as every slot holds less than 2^31 in size.  That is proved level by
+level: after each level one add and one mask per cell show that every
+coefficient lies in [-8, 8) (the true ones are at most 6 in size: V's
+coefficients are partial sums, one parity class at a time, of the six
++-1 terms of the closed form's numerator).  A cell of the next level sums
+at most 2W + 3 of them (W the window), under 2^31 for any window the term
+budget allows.  A coefficient outside [-8, 8) raises
+InternalInconsistencyError.
+
+One map, _jones_cell, takes V's list to the cell of (-1)^k A^(3w) V(A^-4):
+level 0 is that cell of each torus knot's list.  A BracketLevel holds cells
+only, decoded when a bracket is read.  verify_range reads no list: with
+V = t^s N / (1 - t^2) and N the six-term numerator of top exponent h, the
+cell of <W(n,k)> times (1 - B^2) is -(-1)^k sum_e c_e B^(h - e), so each
+cell x is checked as x - (x << 64) against that packed sum, with
+lo = 3w - 4(h + s - 2).  The closed form's theorems (N(1) = N(-1) = 0,
+V(1) = 1, V'(1) = 0) are asserted on the six terms.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
-from operator import add, neg, sub
+from operator import add, sub
 from typing import Callable
 
 from .errors import InternalInconsistencyError, TagError
-from .laurent import LaurentPoly, _dense, _from_dense, _stride_mul
-from .wnk import MAX_TERMS, _closed_form, _jones_dense, d_exponents, writhe_wnk
+from .laurent import LaurentPoly, _dense, _from_dense
+from .wnk import (
+    MAX_TERMS,
+    _closed_form,
+    _jones_numerator,
+    _merged,
+    d_exponents,
+    writhe_wnk,
+)
 
-# (lo, coeffs): sum_j coeffs[j] A^(lo + 4j); [] is zero.  Cells are never
-# changed in place, so two of them may share a list.
-Cell = tuple[int, list[int]]
+# (lo, x): sum_j c_j A^(lo + 4j) with x = sum_j c_j 2^(32j), |c_j| < 2^31;
+# x = 0 is zero.  A nonzero cell's lowest slot is nonzero.
+Cell = tuple[int, int]
+
+
+def _high(size: int) -> int:
+    """2^31 in each of size 32-bit slots."""
+    return int.from_bytes(b"\0\0\0\x80" * size, "little")
+
+
+def _pack(coeffs: list[int]) -> int:
+    """sum_j coeffs[j] 2^(32j) for |coeffs[j]| < 2^31.
+
+    The 32-bit two's complement slots, with their sign bits flipped, hold
+    coeffs[j] + 2^31; subtracting 2^31 per slot leaves the packed sum.
+    """
+    slots = array("i", coeffs)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    high = _high(len(coeffs))
+    return (int.from_bytes(slots.tobytes(), "little") ^ high) - high
+
+
+def _unpack(x: int) -> list[int]:
+    """The coefficients c_j of x = sum_j c_j 2^(32j), |c_j| < 2^31, top one nonzero.
+
+    Such an x has 32 (len - 1) <= x.bit_length() < 32 len.  Adding 2^31 per
+    slot makes every slot nonnegative, and flipping the sign bits back reads
+    each slot as a signed 32-bit integer.
+    """
+    if not x:
+        return []
+    size = (x.bit_length() >> 5) + 1
+    high = _high(size)
+    slots = array("i", ((x + high) ^ high).to_bytes(4 * size, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots.tolist()
+
+
+def _decode(cell: Cell) -> LaurentPoly:
+    """The A-polynomial of a cell."""
+    lo, x = cell
+    return _from_dense(lo, _unpack(x), "A", 4)
 
 
 def _torus_dense(p: int, q: int) -> tuple[int, list[int]]:
@@ -52,8 +118,9 @@ def _torus_dense(p: int, q: int) -> tuple[int, list[int]]:
         raise ValueError("torus parameters must be >= 1")
     if math.gcd(p, q) != 1:
         raise ValueError(f"({p},{q}) is not coprime")
+    name = f"T({p},{q})"
     numerator = [(0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)]
-    return _closed_form(numerator, (p - 1) * (q - 1) // 2, f"T({p},{q})")
+    return _closed_form(_merged(numerator, name), (p - 1) * (q - 1) // 2, name)
 
 
 def torus_jones(p: int, q: int) -> LaurentPoly:
@@ -66,8 +133,8 @@ def _jones_cell(n: int, k: int, lo: int, v: list[int]) -> Cell:
 
     It is v read backwards with sign (-1)^k, from A^(3w - 4 * V's top exponent).
     """
-    cell = v[::-1] if k % 2 == 0 else list(map(neg, reversed(v)))
-    return 3 * writhe_wnk(n, k) - 4 * (lo + len(v) - 1), cell
+    x = _pack(v[::-1])
+    return 3 * writhe_wnk(n, k) - 4 * (lo + len(v) - 1), -x if k % 2 else x
 
 
 def _base_cell(n: int) -> Cell:
@@ -78,7 +145,7 @@ def _base_cell(n: int) -> Cell:
 
 def bracket_wnk_base(n: int) -> LaurentPoly:
     """<W(n,0)>: an oval with n arrows, i.e. the torus knot T(n', n'+1); _base_cell decoded."""
-    return _from_dense(*_base_cell(n), "A", 4)
+    return _decode(_base_cell(n))
 
 
 def _lookup(values: dict, k: int, n: int):
@@ -95,14 +162,14 @@ def _lookup(values: dict, k: int, n: int):
 class BracketLevel:
     """Brackets <W(n,k)> for one fixed k, over a window of n values.
 
-    values[n] is the dense cell of <W(n,k)>; bracket(n) decodes it.
+    values[n] is the packed cell of <W(n,k)>; bracket(n) decodes it.
     """
 
     k: int
     values: dict[int, Cell] = field(default_factory=dict)
 
     def bracket(self, n: int) -> LaurentPoly:
-        return _from_dense(*_lookup(self.values, self.k, n), "A", 4)
+        return _decode(_lookup(self.values, self.k, n))
 
     def g(self, a: int) -> LaurentPoly:
         """g_a = <W(-a-2, k)>: the tangle closure the kink lemma sums over."""
@@ -137,9 +204,9 @@ def s_prime(n: int, k: int) -> LaurentPoly:
 
 
 def _cell(p: LaurentPoly) -> Cell:
-    """The dense cell of an A-polynomial whose exponents lie in one class mod 4."""
+    """The packed cell of an A-polynomial whose exponents lie in one class mod 4."""
     if not p:
-        return 0, []
+        return 0, 0
     lo = p.min_exp
     coeffs = [0] * ((p.max_exp - lo) // 4 + 1)
     for e, c in p:
@@ -148,12 +215,16 @@ def _cell(p: LaurentPoly) -> Cell:
                 f"A-exponents {lo} and {e} of one bracket differ mod 4"
             )
         coeffs[(e - lo) >> 2] = c
-    return lo, coeffs
+    return lo, _pack(coeffs)
 
 
 def _cell_add(x: Cell, y: Cell, op: Callable[[int, int], int] = add) -> Cell:
-    """x + y (op=add) or x - y (op=sub): one slice addition.
+    """x + y (op=add) or x - y (op=sub): one big-integer add.
 
+    The operand with the higher offset is shifted up by 8 bits per unit
+    of offset (32 bits per power of B = A^4).  Only a sum of two cells
+    with the same offset can cancel in its lowest slot; its zero low slots
+    are dropped, so a sum of cells with nonzero lowest slots has one too.
     Two nonzero cells whose offsets differ mod 4 raise
     InternalInconsistencyError: every sum the recursion forms is a sum of
     terms of one bracket's class.
@@ -163,25 +234,41 @@ def _cell_add(x: Cell, y: Cell, op: Callable[[int, int], int] = add) -> Cell:
     if not b:
         return x
     if not a:
-        return lo_y, b if op is add else list(map(neg, b))
-    if (lo_y - lo) & 3:
+        return lo_y, op(0, b)
+    d = lo_y - lo
+    if d & 3:
         raise InternalInconsistencyError(
             f"adding A-exponents {lo} and {lo_y}, which differ mod 4"
         )
-    i = (lo_y - lo) >> 2
-    if i < 0:
-        a = [0] * -i + a
-        lo, i = lo_y, 0
-    else:
-        a = a[:]
-    j = i + len(b)
-    if j > len(a):
-        a += [0] * (j - len(a))
-    a[i:j] = map(op, a[i:j], b)
-    while a and not a[-1]:  # a sum that cancels leaves zero ends; drop them
-        a.pop()
-    z = next(i for i, c in enumerate(a) if c) if a else 0
-    return lo + 4 * z, a[z:] if z else a
+    if d > 0:
+        return lo, op(a, b << 8 * d)
+    if d < 0:
+        return lo_y, op(a << -8 * d, b)
+    s = op(a, b)
+    z = ((s & -s).bit_length() - 1) >> 5 if s else 0  # zero low slots
+    return lo + 4 * z, s >> 32 * z
+
+
+def _check_slots(level: BracketLevel) -> None:
+    """Prove every coefficient of the level's cells lies in [-8, 8), or raise.
+
+    Take S slots with |x| < 2^(32S) for every cell x, and add 8 to each of
+    them.  The sum's base-2^32 digits all lie in [0, 16), with nothing above
+    slot S - 1, exactly when x's coefficients all lie in [-8, 8).  The mask
+    holds bits 4..31 of slots 0..S-1 and all of slot S (which a negative sum
+    fills), so one add and one mask decide it for any integer x.  A failure
+    raises InternalInconsistencyError: the next level's slots could overflow.
+    """
+    cells = level.values
+    size = max((x.bit_length() for _, x in cells.values()), default=0) // 32 + 1
+    eights = int.from_bytes(b"\x08\0\0\0" * size, "little")
+    mask = int.from_bytes(b"\xf0\xff\xff\xff" * size + b"\xff" * 4, "little")
+    for n, (_, x) in cells.items():
+        if (x + eights) & mask:
+            raise InternalInconsistencyError(
+                f"level k={level.k}: a coefficient of the cell n={n} lies outside "
+                "[-8, 8); packed slots could overflow"
+            )
 
 
 def _next_level(prev: BracketLevel, window: int) -> BracketLevel:
@@ -199,12 +286,14 @@ def _next_level(prev: BracketLevel, window: int) -> BracketLevel:
     out = {}
     for n in range(-window, window + 1):
         lo, s = sums[n] if n >= -1 else sums[-n - 2]
-        if s:  # A^n (A^-1 - A^3) S_n = A^(n-1) (1 - B) S_n
-            s = s + [0] if n >= -1 else [*map(neg, s), 0]
-            _stride_mul(s, 1)
+        if n < -1:
+            s = -s
+        # A^n (A^-1 - A^3) S_n = A^(n-1) (1 - B) S_n
         lo_p, p = _lookup(cells, k, n - 2)
-        out[n] = _cell_add((lo + n - 1, s), (lo_p + 2 * n - 1, p), sub)
-    return BracketLevel(k + 1, out)
+        out[n] = _cell_add((lo + n - 1, s - (s << 32)), (lo_p + 2 * n - 1, p), sub)
+    level = BracketLevel(k + 1, out)
+    _check_slots(level)
+    return level
 
 
 def _windows(n_abs_max: int, k_max: int) -> list[int]:
@@ -244,8 +333,10 @@ def bracket_levels(n_abs_max: int, k_max: int) -> list[BracketLevel]:
     """
     _check_budget(n_abs_max, k_max)
     first, *rest = _windows(n_abs_max, k_max)
-    base = {n: _base_cell(n) for n in range(-first, first + 1)}
-    levels = [BracketLevel(0, base)]
+    # W(n,0) and W(-1-n,0) are T(n', n'+1) with the same writhe n^2 + n: one cell
+    cells = [_base_cell(n) for n in range(first + 1)]
+    levels = [BracketLevel(0, {n: cells[n if n >= 0 else -1 - n] for n in range(-first, first + 1)})]
+    _check_slots(levels[0])
     for window in rest:
         levels.append(_next_level(levels[-1], window))
     return levels
@@ -271,9 +362,9 @@ def _class_offset(n: int, k: int, cell: Cell) -> int:
     <W(n,k)> = (-1)^k A^(3w) V with V a t-polynomial and t = A^-4, so a
     nonzero cell's lo - 3w must be 0 mod 4 (zero has no class).
     """
-    lo, coeffs = cell
+    lo, x = cell
     e = lo - 3 * writhe_wnk(n, k)
-    if coeffs and e & 3:
+    if x and e & 3:
         raise InternalInconsistencyError(
             f"A-exponent {e} not divisible by 4; writhe/bracket mismatch"
         )
@@ -286,14 +377,26 @@ def _cell_to_jones(n: int, k: int, cell: Cell) -> LaurentPoly:
     t = A^-4 takes A^(lo + 4j) to t^((3w - lo)/4 - j); lo - 3w must be 0 mod 4.
     """
     e = _class_offset(n, k, cell)
-    coeffs = cell[1]
-    return _from_dense(-e // 4, list(map(neg, coeffs)) if k % 2 else coeffs, "t", -1)
+    x = cell[1]
+    return _from_dense(-e // 4, _unpack(-x if k % 2 else x), "t", -1)
 
 
 def _cell_is_jones(n: int, k: int, cell: Cell) -> bool:
-    """Whether the cell of <W(n,k)> passes the mod-4 check and is _jones_cell of V's list."""
-    _class_offset(n, k, cell)
-    return cell == _jones_cell(n, k, *_jones_dense(n, k))
+    """Whether the cell of <W(n,k)> is the closed form's, checked on its six-term numerator.
+
+    After the mod-4 check, V = t^s N / (1 - t^2) (N's theorems asserted by
+    _jones_numerator) fixes the cell: (1 - B^2) times it is
+    -(-1)^k sum_e c_e B^(h - e), h N's top exponent, from
+    lo = 3w - 4(h + s - 2).  Every coefficient involved is under 2^31 in
+    size, so the packed comparison is the polynomial one.
+    """
+    terms, shift = _jones_numerator(n, k)
+    top = terms[-1][0]
+    if _class_offset(n, k, cell) != 8 - 4 * (top + shift):
+        return False
+    packed = sum(c << 32 * (top - e) for e, c in terms)
+    x = cell[1]
+    return x - (x << 64) == (packed if k % 2 else -packed)
 
 
 def bracket_to_jones(n: int, k: int, bracket: LaurentPoly) -> LaurentPoly:
@@ -311,7 +414,7 @@ def jones_to_bracket(n: int, k: int, v: LaurentPoly) -> LaurentPoly:
     """Inverse of bracket_to_jones: _jones_cell of V's list, decoded."""
     if v.variable != "t":
         raise TagError("Jones polynomial must be a t-polynomial")
-    return _from_dense(*_jones_cell(n, k, *(_dense(v) if v else (0, []))), "A", 4)
+    return _decode(_jones_cell(n, k, *(_dense(v) if v else (0, []))))
 
 
 def verify_range(
@@ -320,9 +423,10 @@ def verify_range(
     """Compare closed form and bracket recursion cell by cell.
 
     Levels are computed once for the whole sweep; results are ordered by
-    (k, n).  Each cell's list is compared with the closed form's list
-    (_cell_is_jones): no LaurentPoly is built on either side.  Every entry
-    should be True: disagreement means a bug, not a property of the knot.
+    (k, n).  Each packed cell is checked against the closed form's six-term
+    numerator (_cell_is_jones): no LaurentPoly and no list is built on
+    either side.  Every entry should be True: disagreement means a bug,
+    not a property of the knot.
     """
     if n_lo > n_hi:
         raise ValueError(f"empty n range: n_lo={n_lo} > n_hi={n_hi}")

@@ -102,14 +102,13 @@ def _check_span(n: int, k: int) -> None:
 
 
 def _closed_form(
-    terms: Iterable[tuple[int, int]], shift: int, name: str
+    merged: list[tuple[int, int]], shift: int, name: str
 ) -> tuple[int, list[int]]:
-    """t^shift * (sum of the terms) / (1 - t^2) as (lowest exponent, coefficients).
+    """t^shift * (sum of _merged's terms) / (1 - t^2) as (lowest exponent, coefficients).
 
-    The span rule runs first.  Every closed form is divisible by a theorem,
-    so a remainder raises InternalInconsistencyError naming `name`.
+    Every closed form is divisible by a theorem, so a remainder raises
+    InternalInconsistencyError naming `name`.
     """
-    merged = _merged(terms, name)
     lo = merged[0][0]
     s = [0] * (merged[-1][0] - lo + 1)
     for e, c in merged:
@@ -123,18 +122,50 @@ def _closed_form(
     return lo + shift, s
 
 
-def _jones_dense(n: int, k: int) -> tuple[int, list[int]]:
-    """V_W(n,k) by the closed form, as (lowest exponent, coefficients).
+def _numerator(n: int, k: int) -> tuple[list[tuple[int, int]], int]:
+    """V_W(n,k) = t^shift * N / (1 - t^2): N's merged terms, ascending, and shift.
 
-    d / (t^2 - 1) is -d / (1 - t^2), read by _closed_form from d's six terms
-    with their signs negated; the list has nonzero ends.  The division and
-    V(1) = 1, V'(1) = 0 are theorems, asserted on every call.  (n, k) whose
-    numerator spans more than MAX_TERMS exponents is refused before anything
-    dense is built.
+    d / (t^2 - 1) is -d / (1 - t^2), so N is d's six terms with their signs
+    negated.  (n, k) whose N spans more than MAX_TERMS exponents is refused.
     """
     _check_k(k)
     shift = n * (n - 1) // 2 + k * (k - 1) - 2 * n * k
-    lo, s = _closed_form(zip(d_exponents(n, k), (1, -1, -1, 1, -1, 1)), shift, f"W({n},{k})")
+    return _merged(zip(d_exponents(n, k), (1, -1, -1, 1, -1, 1)), f"W({n},{k})"), shift
+
+
+def _jones_numerator(n: int, k: int) -> tuple[list[tuple[int, int]], int]:
+    """_numerator(n, k), with the closed form's theorems asserted on N's terms.
+
+    N(1) = N(-1) = 0 is divisibility by 1 - t^2.  With V = t^shift N / (1 - t^2),
+    sum e*c = -2 V(1) and sum e^2*c = 4 (shift - 1) V(1) - 4 V'(1), so
+    V(1) = 1, V'(1) = 0 read sum e*c = -2 and sum e^2*c = 4 shift - 4.
+    A failure raises InternalInconsistencyError.
+    """
+    terms, shift = _numerator(n, k)
+    at_one = at_minus_one = first = second = 0
+    for e, c in terms:
+        at_one += c
+        at_minus_one += -c if e & 1 else c
+        first += e * c
+        second += e * e * c
+    if at_one or at_minus_one or first != -2 or second != 4 * shift - 4:
+        raise InternalInconsistencyError(
+            f"W({n},{k}): numerator N(1)={at_one}, N(-1)={at_minus_one}, "
+            f"sum e*c={first}, sum e^2*c={second}; expected (0, 0, -2, {4 * shift - 4})"
+        )
+    return terms, shift
+
+
+def _jones_dense(n: int, k: int) -> tuple[int, list[int]]:
+    """V_W(n,k) by the closed form, as (lowest exponent, coefficients).
+
+    _closed_form divides _numerator's N by 1 - t^2; the list has nonzero
+    ends.  The division and V(1) = 1, V'(1) = 0 are theorems, asserted on
+    the list on every call.  (n, k) whose numerator spans more than
+    MAX_TERMS exponents is refused before anything dense is built.
+    """
+    terms, shift = _numerator(n, k)
+    lo, s = _closed_form(terms, shift, f"W({n},{k})")
     # sum_j (lo + j) s[j] == (lo + len) V(1) - sum of the prefix sums of s
     value = sum(s)
     deriv = (lo + len(s)) * value - sum(accumulate(s))

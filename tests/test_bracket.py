@@ -2,13 +2,18 @@ import math
 from operator import add, sub
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cyclojones.bracket
 import cyclojones.wnk
 from cyclojones.bracket import (
     BracketLevel,
     _cell,
+    _cell_add,
     _cell_to_jones,
+    _check_slots,
+    _pack,
+    _unpack,
     _windows,
     bracket_levels,
     bracket_to_jones,
@@ -22,7 +27,7 @@ from cyclojones.bracket import (
 )
 from cyclojones.errors import InexactDivisionError, InternalInconsistencyError, TagError
 from cyclojones.laurent import LaurentPoly, _from_dense, parse_poly
-from cyclojones.wnk import d_exponents, jones_wnk, writhe_wnk
+from cyclojones.wnk import _jones_dense, d_exponents, jones_wnk, writhe_wnk
 
 A_MINUS_8_MINUS_1 = LaurentPoly({-8: 1, 0: -1}, "A")
 A_KINK = LaurentPoly({-1: 1, 3: -1}, "A")  # A^-1 - A^3
@@ -31,6 +36,22 @@ A_KINK = LaurentPoly({-1: 1, 3: -1}, "A")  # A^-1 - A^3
 def reference_bracket(n, k, v):
     """<W(n,k)> = (-1)^k A^(3w) V(A^-4), written on the term dict."""
     return v.substitute_power(-4, "A").scale((-1) ** k, 3 * writhe_wnk(n, k))
+
+
+def packed(lo, coeffs):
+    """The packed cell of sum_j coeffs[j] A^(lo + 4j)."""
+    return lo, sum(c << 32 * j for j, c in enumerate(coeffs))
+
+
+def balanced_slots(x):
+    """The digits c_j in [-2^31, 2^31) of x = sum_j c_j 2^(32j), by repeated division."""
+    out = []
+    while x:
+        c = x % 2**32
+        c -= 2**32 if c >= 2**31 else 0
+        out.append(c)
+        x = (x - c) >> 32
+    return out
 
 
 class TestTorusJones:
@@ -238,7 +259,8 @@ class TestTrimmedCells:
     def test_cells_hold_only_their_nonzero_spans(self, a, k):
         entries = 0
         for level in bracket_levels(a, k):
-            for _, coeffs in level.values.values():
+            for _, x in level.values.values():
+                coeffs = _unpack(x)
                 assert coeffs[0] and coeffs[-1]
                 entries += len(coeffs)
         budget = 0  # the count bracket_levels checks against MAX_TERMS
@@ -247,6 +269,75 @@ class TestTrimmedCells:
                 e = d_exponents(n, j)
                 budget += max(e) - min(e) - 1
         assert entries <= budget
+
+
+class TestPackedCells:
+    def test_every_cell_is_the_closed_forms(self):
+        # each cell of n -40..40, k 0..20, n < 0 and k = 0 included, decodes to
+        # V's list read backwards with sign (-1)^k, from A^(3w - 4 * top)
+        for level in bracket_levels(40, 20):
+            k = level.k
+            for n in range(-40, 41):
+                lo, x = level.values[n]
+                v_lo, v = _jones_dense(n, k)
+                assert lo == 3 * writhe_wnk(n, k) - 4 * (v_lo + len(v) - 1)
+                assert _unpack(x) == [(-1) ** k * c for c in reversed(v)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-(2**31) + 1, 2**31 - 1), max_size=40).filter(lambda c: not c or c[-1]))
+    def test_pack_and_unpack(self, coeffs):
+        x = _pack(coeffs)
+        assert x == sum(c << 32 * j for j, c in enumerate(coeffs))
+        assert _unpack(x) == coeffs
+
+    def test_pack_refuses_a_wide_coefficient(self):
+        with pytest.raises(OverflowError):
+            _pack([1, 2**31])
+
+
+class TestSlotGuard:
+    @staticmethod
+    def level_of(x):
+        return BracketLevel(3, {-1: packed(5, [1, -1]), 0: (0, x), 1: packed(-3, [6] * 9)})
+
+    @pytest.mark.parametrize("coeffs", [[7], [-8], [1, -8, 7, 0, -1], [-8] * 30, [0, 0, 7]])
+    def test_coefficients_in_range_pass(self, coeffs):
+        _check_slots(self.level_of(_pack(coeffs)))
+
+    @pytest.mark.parametrize("coeffs", [[8], [-9], [1, 8, -1], [1, -1, 9], [2**31 - 1], [-(2**31) + 1, 1]])
+    def test_coefficient_past_the_guard_raises(self, coeffs):
+        with pytest.raises(InternalInconsistencyError, match="outside"):
+            _check_slots(self.level_of(_pack(coeffs)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(), st.integers(-(2**200), 2**200).map(lambda x: x << 96)))
+    def test_guard_passes_exactly_the_small_digits(self, x):
+        # any integer at all: the guard passes iff its balanced 32-bit digits lie in [-8, 8)
+        small = all(-8 <= c < 8 for c in balanced_slots(x))
+        try:
+            _check_slots(self.level_of(x))
+        except InternalInconsistencyError:
+            assert not small
+        else:
+            assert small
+
+    def test_planted_digit_stops_the_recursion(self, monkeypatch):
+        # level 0 with one coefficient of <W(2,0)> set to 8
+        base = cyclojones.bracket._base_cell
+
+        def planted(n):
+            lo, x = base(n)
+            return (lo, x + (7 << 32)) if n == 2 else (lo, x)
+
+        monkeypatch.setattr(cyclojones.bracket, "_base_cell", planted)
+        with pytest.raises(InternalInconsistencyError, match="k=0: a coefficient of the cell n=(2|-3) "):
+            verify_range(-2, 2, 0, 2)
+
+    def test_deepest_sweep_within_the_budget(self):
+        # n 0..0, k 0..38: the widest windows per level the budget allows
+        assert all(ok for _, _, ok in verify_range(0, 0, 0, 38))
+        with pytest.raises(ValueError, match="budget"):
+            verify_range(0, 0, 0, 39)
 
 
 def shifted_base_level(monkeypatch):
@@ -272,15 +363,15 @@ class TestModFourCheck:
 
     def test_cells_of_different_classes_refused(self):
         with pytest.raises(InternalInconsistencyError, match="differ mod 4"):
-            cyclojones.bracket._cell_add((0, [1]), (6, [1, -1]))
+            _cell_add(packed(0, [1]), packed(6, [1, -1]))
         # zero has no class
-        assert cyclojones.bracket._cell_add((1, []), (6, [1])) == (6, [1])
-        assert cyclojones.bracket._cell_add((6, [1]), (1, []), sub) == (6, [1])
-        assert cyclojones.bracket._cell_add((1, []), (6, [1]), sub) == (6, [-1])
-        # a sum that cancels drops its zero ends
-        assert cyclojones.bracket._cell_add((2, [1, 2, 3]), (2, [1, 5, 3]), sub) == (6, [-3])
-        assert cyclojones.bracket._cell_add((2, [1, 2]), (-2, [3, -1, -2])) == (-2, [3])
-        assert cyclojones.bracket._cell_add((2, [1]), (2, [1]), sub)[1] == []
+        assert _cell_add(packed(1, []), packed(6, [1])) == packed(6, [1])
+        assert _cell_add(packed(6, [1]), packed(1, []), sub) == packed(6, [1])
+        assert _cell_add(packed(1, []), packed(6, [1]), sub) == packed(6, [-1])
+        # a sum that cancels drops its zero low slots; the top has none
+        assert _cell_add(packed(2, [1, 2, 3]), packed(2, [1, 5, 3]), sub) == packed(6, [-3])
+        assert _cell_add(packed(2, [1, 2]), packed(-2, [3, -1, -2])) == packed(-2, [3])
+        assert _cell_add(packed(2, [1]), packed(2, [1]), sub)[1] == 0
 
     @pytest.mark.parametrize(
         "x, y",
@@ -289,9 +380,10 @@ class TestModFourCheck:
     )
     def test_sum_and_difference(self, x, y):
         px, py = (_from_dense(lo, c, "A", 4) for lo, c in (x, y))
+        x, y = packed(*x), packed(*y)
         for op in (add, sub):
-            assert _from_dense(*cyclojones.bracket._cell_add(x, y, op), "A", 4) == op(px, py)
-            assert _from_dense(*cyclojones.bracket._cell_add(y, x, op), "A", 4) == op(py, px)
+            for (lo, s), expected in ((_cell_add(x, y, op), op(px, py)), (_cell_add(y, x, op), op(py, px))):
+                assert _from_dense(lo, balanced_slots(s), "A", 4) == expected
 
     @pytest.mark.parametrize(
         "plant", [shifted_base_level, one_term_off], ids=["whole cell shifted", "one term off"]
@@ -404,18 +496,47 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("shift, sign", [(1, 1), (-1, 1), (0, -1)])
     def test_planted_closed_form_mismatches(self, monkeypatch, shift, sign):
-        # a closed form off by t^shift or by sign disagrees with its cell only
-        true_jones = cyclojones.bracket._jones_dense
+        # a closed form off by t^shift (its cell's lo off by 4) or by sign
+        # disagrees with its cell only
+        true_numerator = cyclojones.bracket._jones_numerator
 
         def planted(n, k):
-            lo, v = true_jones(n, k)
+            terms, s = true_numerator(n, k)
             if (n, k) == (3, 2):
-                return lo + shift, [sign * c for c in v]
-            return lo, v
+                return [(e, sign * c) for e, c in terms], s + shift
+            return terms, s
 
-        monkeypatch.setattr(cyclojones.bracket, "_jones_dense", planted)
+        monkeypatch.setattr(cyclojones.bracket, "_jones_numerator", planted)
         results = verify_range(-4, 4, 0, 3)
         assert [(n, k) for n, k, ok in results if not ok] == [(3, 2)]
+
+    @pytest.mark.parametrize("index", [0, 2, -1], ids=["lowest", "middle", "top"])
+    def test_planted_numerator_term_mismatches(self, monkeypatch, index):
+        # one of the six terms with its sign flipped, past the theorem checks
+        true_numerator = cyclojones.bracket._jones_numerator
+
+        def planted(n, k):
+            terms, s = true_numerator(n, k)
+            if (n, k) == (-2, 3):
+                e, c = terms[index]
+                terms = [*terms]
+                terms[index] = e, -c
+            return terms, s
+
+        monkeypatch.setattr(cyclojones.bracket, "_jones_numerator", planted)
+        results = verify_range(-4, 4, 0, 3)
+        assert [(n, k) for n, k, ok in results if not ok] == [(-2, 3)]
+
+    @pytest.mark.parametrize(
+        "terms, shift",
+        [([(0, 1)], 0), ([(0, 1), (1, -1)], 0), ([(0, 2), (2, -2)], 0), ([(0, 1), (2, -1)], 1)],
+        ids=["N(1)=1", "N(-1)=2", "V(1)=2", "V'(1)=1"],
+    )
+    def test_broken_numerator_identity_raises(self, monkeypatch, terms, shift):
+        # each of the closed form's theorems, broken alone, stops the sweep
+        monkeypatch.setattr(cyclojones.wnk, "_numerator", lambda n, k: (terms, shift))
+        with pytest.raises(InternalInconsistencyError, match="numerator"):
+            verify_range(0, 0, 0, 0)
 
     @pytest.mark.parametrize(
         "bounds, match",

@@ -90,15 +90,16 @@ class TestVerifyCommand:
 
     @staticmethod
     def _flip_two_cells(monkeypatch):
-        true_jones = cyclojones.bracket._jones_dense
+        true_numerator = cyclojones.bracket._jones_numerator
 
         def flipped(n, k):
-            lo, v = true_jones(n, k)
+            terms, shift = true_numerator(n, k)
             if (n, k) in ((2, 0), (0, 1)):
-                v[0] = -v[0]  # flip one coefficient
-            return lo, v
+                (e, c), *rest = terms
+                terms = [(e, -c), *rest]  # flip one numerator term
+            return terms, shift
 
-        monkeypatch.setattr(cyclojones.bracket, "_jones_dense", flipped)
+        monkeypatch.setattr(cyclojones.bracket, "_jones_numerator", flipped)
 
     def test_injected_fault_exits_2(self, capsys, monkeypatch):
         # mismatches are listed in (k, n) order, the order verify_range returns
@@ -138,6 +139,26 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--n", "0..2", "--k", "0..1")
         assert code == 2
         assert "differ mod 4" in err
+
+    def test_broken_numerator_identity_exits_2(self, capsys, monkeypatch):
+        # 1 - t^2 under t^1: V = t has V'(1) = 1
+        monkeypatch.setattr(cyclojones.wnk, "_numerator", lambda n, k: ([(0, 1), (2, -1)], 1))
+        code, _, err = run(capsys, "verify", "--n", "0..2", "--k", "0..1")
+        assert code == 2
+        assert "numerator" in err
+
+    def test_digit_past_the_guard_exits_2(self, capsys, monkeypatch):
+        # a coefficient of 8 in the level-0 cell of <W(1,0)>
+        true_base = cyclojones.bracket._base_cell
+
+        def planted(n):
+            lo, x = true_base(n)
+            return (lo, x + 8) if n == 1 else (lo, x)
+
+        monkeypatch.setattr(cyclojones.bracket, "_base_cell", planted)
+        code, _, err = run(capsys, "verify", "--n", "0..2", "--k", "0..1")
+        assert code == 2
+        assert "outside [-8, 8)" in err
 
     def test_bad_range_exits_1(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "bogus")
