@@ -50,10 +50,9 @@ def cli():
 @format_option
 def cmd_jones(n, k, variable, fmt):
     """Print the Jones polynomial (or bracket) of W(n,k)."""
-    if variable == "A":  # the cell of V's list, decoded once
-        v = bracket._decode(bracket._jones_cell(n, k, *wnk._jones_dense(n, k)))
-    else:
-        v = wnk.jones_wnk(n, k)
+    v = wnk.jones_wnk(n, k)
+    if variable == "A":
+        v = bracket.jones_to_bracket(n, k, v)
     if fmt == "json":
         click.echo(json.dumps(poly_to_json(v)))
     else:

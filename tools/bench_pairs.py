@@ -8,12 +8,7 @@ script runs ``perfbench/run.py`` untraced once in each checkout, for the
 ``run_seconds`` that CHANGE/BENCHMARK.json sets and one process at a
 time, with the parent first on odd pairs and the change first on even
 ones.  The default ten seeds give the ten pairs a claimed gain needs.  It then makes one traced run per checkout at the
-first seed for the per-layer counts.  Each side runs with its own fresh
-``PYTHONPYCACHEPREFIX``, so both start without compiled bytecode and
-neither reads a ``__pycache__`` left in its checkout: ``setup_s`` (a
-fresh import) then follows the code, not the cache.  (Under
-``PYTHONDONTWRITEBYTECODE`` nothing is written there, and every run of
-both sides compiles from source.)  Standard output is one JSON object
+first seed for the per-layer counts.  Standard output is one JSON object
 with, per workload and side, the median and quartiles of every
 end-to-end metric over the seeds, the number of pairs the change won on
 each metric (the direction read from CHANGE/BENCHMARK.json), the failed
@@ -32,14 +27,12 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 
 
-def run(root: str, workload: str, seed: int, seconds: float, trace: int, cache: str) -> dict:
+def run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
-    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
     print(f"{os.path.basename(os.path.abspath(root))}: {proc.stderr.strip()}", file=sys.stderr)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -67,25 +60,16 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     sides = {"parent": args.parent, "change": args.change}
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        caches = {side: os.path.join(tmp, side) for side in sides}
-        out = compare(sides, caches, workloads, args.seeds, seconds, better, bound)
-    print(json.dumps(out, indent=1))
-    return 0
 
-
-def compare(sides: dict, caches: dict, workloads: list, seeds: list, seconds: float,
-            better: dict, bound: dict) -> dict:
-    """The alternating pairs and traced runs of every workload: the object main prints."""
-    out = {"seconds": seconds, "seeds": seeds,
+    out = {"seconds": seconds, "seeds": args.seeds,
            "python": platform.python_version(), "cpus": os.cpu_count(),
            "workloads": {}, "regressions": []}
     for workload in workloads:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        for i, seed in enumerate(seeds):
+        for i, seed in enumerate(args.seeds):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for side in order:
-                runs[side].append(run(sides[side], workload, seed, seconds, 0, caches[side]))
+                runs[side].append(run(sides[side], workload, seed, seconds, 0))
         values = {side: {name: [r["metrics"][name]["value"] for r in rs] for name in better}
                   for side, rs in runs.items()}
         wins, change = {}, {}
@@ -99,7 +83,7 @@ def compare(sides: dict, caches: dict, workloads: list, seeds: list, seconds: fl
                 out["regressions"].append(f"{workload}.{name}")
         traced = {}
         for side, root in sides.items():
-            metrics = run(root, workload, seeds[0], seconds, 1, caches[side])["metrics"]
+            metrics = run(root, workload, args.seeds[0], seconds, 1)["metrics"]
             traced[side] = {name: m["value"] for name, m in metrics.items() if m["unit"] == "count"}
         entry = {
             side: {
@@ -114,7 +98,8 @@ def compare(sides: dict, caches: dict, workloads: list, seeds: list, seconds: fl
         entry["change_wins_of_pairs"] = wins
         entry["median_change_vs_parent"] = change
         out["workloads"][workload] = entry
-    return out
+    print(json.dumps(out, indent=1))
+    return 0
 
 
 if __name__ == "__main__":
