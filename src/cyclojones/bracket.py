@@ -42,8 +42,17 @@ only, decoded when a bracket is read.  verify_range reads no list: with
 V = t^s N / (1 - t^2) and N the six-term numerator of top exponent h, the
 cell of <W(n,k)> times (1 - B^2) is -(-1)^k sum_e c_e B^(h - e), so each
 cell x is checked as x - (x << 64) against that packed sum, with
-lo = 3w - 4(h + s - 2).  The closed form's theorems (N(1) = N(-1) = 0,
-V(1) = 1, V'(1) = 0) are asserted on the six terms.
+lo = 3w - 4(h + s - 2).  wnk._packed_numerator builds the packed sum from
+N's six unmerged terms in integer arithmetic and asserts the closed form's
+theorems (N(1) = N(-1) = 0, V(1) = 1, V'(1) = 0) on them: they are linear
+in the terms, so merging cannot change them.
+
+Before any level is built, the levels are budgeted: cell (n, j) counts
+max(e) - min(e) - 1 terms, e the six exponents of d_polynomial(n, j).
+Each exponent is affine in n, so per level that count is the difference
+of two convex piecewise-linear envelopes, summed in closed form over the
+window (one arithmetic series per piece), and the levels are summed
+widest first until the total passes MAX_TERMS.
 """
 
 from __future__ import annotations
@@ -60,8 +69,8 @@ from .laurent import LaurentPoly, _dense, _from_dense
 from .wnk import (
     MAX_TERMS,
     _closed_form,
-    _jones_numerator,
     _merged,
+    _packed_numerator,
     d_exponents,
     writhe_wnk,
 )
@@ -118,9 +127,8 @@ def _torus_dense(p: int, q: int) -> tuple[int, list[int]]:
         raise ValueError("torus parameters must be >= 1")
     if math.gcd(p, q) != 1:
         raise ValueError(f"({p},{q}) is not coprime")
-    name = f"T({p},{q})"
     numerator = [(0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)]
-    return _closed_form(_merged(numerator, name), (p - 1) * (q - 1) // 2, name)
+    return _closed_form(_merged(numerator, "T", p, q), (p - 1) * (q - 1) // 2, "T", p, q)
 
 
 def torus_jones(p: int, q: int) -> LaurentPoly:
@@ -296,33 +304,75 @@ def _next_level(prev: BracketLevel, window: int) -> BracketLevel:
     return level
 
 
-def _windows(n_abs_max: int, k_max: int) -> list[int]:
+def _windows(n_abs_max: int, k_max: int) -> range:
     """Half-widths of levels 0..k_max: level j holds |n| <= its entry.
 
     Each level is read two indices wider than the one it produces, so the
     windows shrink by two per level down to n_abs_max + 2 at k_max.
     """
-    return [n_abs_max + 2 * (k_max - j) + 2 for j in range(k_max + 1)]
+    return range(n_abs_max + 2 * k_max + 2, n_abs_max, -2)
+
+
+def _upper_sum(lines: list[tuple[int, int]], lo: int, hi: int) -> int:
+    """sum over integers lo <= n <= hi of max_i (a_i n + b_i), lines (a_i, b_i).
+
+    The maximum is convex and piecewise linear.  Its pieces are found as an
+    upper hull over the integers: taking the lines by ascending slope, each
+    is on top of the earlier ones from the first n >= lo where it exceeds
+    the last kept line, and a kept line it passes no later than that
+    line's own start is dropped.  Each piece, clipped to hi, is added as an
+    arithmetic series: at most one piece per slope.
+    """
+    hull: list[tuple[int, int, int]] = []  # (a, b, the first n where it is on top)
+    for a, b in sorted(lines):
+        start = lo
+        while hull:
+            a0, b0, s0 = hull[-1]
+            if a > a0:  # a m + b > a0 m + b0 from this m on
+                start = (b0 - b) // (a - a0) + 1
+                if start > s0:
+                    break
+            hull.pop()  # also a line of equal slope and no higher intercept
+            start = lo
+        hull.append((a, b, start))
+    total = 0
+    end = hi
+    for a, b, start in reversed(hull):
+        if start <= end:
+            total += a * (start + end) * (end - start + 1) // 2 + b * (end - start + 1)
+            end = start - 1
+    return total
+
+
+def _level_terms(j: int, lo: int, hi: int) -> int:
+    """sum over lo <= n <= hi of span(d_polynomial(n, j)) - 1 = max(e) - min(e) - 1.
+
+    Each of d_exponents' six exponents is affine in n, read off at n = 0
+    and n = 1, so the sum is two envelope sums: max(e) directly and min(e)
+    as -max(-e).
+    """
+    lines = [(e1 - e0, e0) for e0, e1 in zip(d_exponents(0, j), d_exponents(1, j))]
+    negated = [(-a, -b) for a, b in lines]
+    return _upper_sum(lines, lo, hi) + _upper_sum(negated, lo, hi) - (hi - lo + 1)
 
 
 def _check_budget(n_abs_max: int, k_max: int) -> None:
     """Refuse levels whose cells would hold more than MAX_TERMS terms in all.
 
     Cell (n, j) holds at most span(d_polynomial(n, j)) - 1 terms, read
-    from the exponents alone.  The sum runs over the windows bracket_levels
-    builds, starting at level 0's most negative n (one of the widest
-    cells), and stops as soon as it passes the budget.
+    from the exponents alone.  The sum runs level by level over the windows
+    bracket_levels builds, each level's window in closed form
+    (_level_terms), widest level first, and stops as soon as it passes the
+    budget, so a request with many levels is refused after the first few.
     """
     total = 0
     for j, window in enumerate(_windows(n_abs_max, k_max)):
-        for n in range(-window, window + 1):
-            e = d_exponents(n, j)
-            total += max(e) - min(e) - 1
-            if total > MAX_TERMS:
-                raise ValueError(
-                    f"bracket levels for |n| <= {n_abs_max}, k <= {k_max} would hold "
-                    f"more than the budget of {MAX_TERMS} terms"
-                )
+        total += _level_terms(j, -window, window)
+        if total > MAX_TERMS:
+            raise ValueError(
+                f"bracket levels for |n| <= {n_abs_max}, k <= {k_max} would hold "
+                f"more than the budget of {MAX_TERMS} terms"
+            )
 
 
 def bracket_levels(n_abs_max: int, k_max: int) -> list[BracketLevel]:
@@ -382,19 +432,17 @@ def _cell_to_jones(n: int, k: int, cell: Cell) -> LaurentPoly:
 
 
 def _cell_is_jones(n: int, k: int, cell: Cell) -> bool:
-    """Whether the cell of <W(n,k)> is the closed form's, checked on its six-term numerator.
+    """Whether the cell of <W(n,k)> is the closed form's, checked on its packed numerator.
 
     After the mod-4 check, V = t^s N / (1 - t^2) (N's theorems asserted by
-    _jones_numerator) fixes the cell: (1 - B^2) times it is
+    _packed_numerator) fixes the cell: (1 - B^2) times it is
     -(-1)^k sum_e c_e B^(h - e), h N's top exponent, from
     lo = 3w - 4(h + s - 2).  Every coefficient involved is under 2^31 in
     size, so the packed comparison is the polynomial one.
     """
-    terms, shift = _jones_numerator(n, k)
-    top = terms[-1][0]
+    top, shift, packed = _packed_numerator(n, k)
     if _class_offset(n, k, cell) != 8 - 4 * (top + shift):
         return False
-    packed = sum(c << 32 * (top - e) for e, c in terms)
     x = cell[1]
     return x - (x << 64) == (packed if k % 2 else -packed)
 

@@ -81,8 +81,13 @@ def d_polynomial(n: int, k: int) -> LaurentPoly:
     return LaurentPoly(zip(d_exponents(n, k), (-1, 1, 1, -1, 1, -1)))
 
 
-def _merged(terms: Iterable[tuple[int, int]], name: str) -> list[tuple[int, int]]:
-    """A nonzero sum's terms, ascending; ValueError if they span over MAX_TERMS exponents."""
+def _merged(
+    terms: Iterable[tuple[int, int]], knot: str, p: int, q: int
+) -> list[tuple[int, int]]:
+    """A nonzero sum's terms, ascending; ValueError if they span over MAX_TERMS exponents.
+
+    The message names the knot as knot(p,q), built only when raising.
+    """
     merged: dict[int, int] = {}
     for e, c in terms:
         merged[e] = merged.get(e, 0) + c
@@ -90,7 +95,7 @@ def _merged(terms: Iterable[tuple[int, int]], name: str) -> list[tuple[int, int]
     span = out[-1][0] - out[0][0]
     if span > MAX_TERMS:
         raise ValueError(
-            f"{name}: the closed form spans {span} exponents, over the "
+            f"{knot}({p},{q}): the closed form spans {span} exponents, over the "
             f"budget of {MAX_TERMS} terms"
         )
     return out
@@ -98,16 +103,16 @@ def _merged(terms: Iterable[tuple[int, int]], name: str) -> list[tuple[int, int]
 
 def _check_span(n: int, k: int) -> None:
     """ValueError when d_polynomial(n, k) spans more than MAX_TERMS exponents."""
-    _merged(zip(d_exponents(n, k), (-1, 1, 1, -1, 1, -1)), f"W({n},{k})")
+    _merged(zip(d_exponents(n, k), (-1, 1, 1, -1, 1, -1)), "W", n, k)
 
 
 def _closed_form(
-    merged: list[tuple[int, int]], shift: int, name: str
+    merged: list[tuple[int, int]], shift: int, knot: str, p: int, q: int
 ) -> tuple[int, list[int]]:
     """t^shift * (sum of _merged's terms) / (1 - t^2) as (lowest exponent, coefficients).
 
     Every closed form is divisible by a theorem, so a remainder raises
-    InternalInconsistencyError naming `name`.
+    InternalInconsistencyError naming knot(p,q).
     """
     lo = merged[0][0]
     s = [0] * (merged[-1][0] - lo + 1)
@@ -117,9 +122,18 @@ def _closed_form(
         _stride_div(s, 2)
     except InexactDivisionError as exc:
         raise InternalInconsistencyError(
-            f"{name}: closed-form numerator not divisible by 1 - t^2"
+            f"{knot}({p},{q}): closed-form numerator not divisible by 1 - t^2"
         ) from exc
     return lo + shift, s
+
+
+# N = -d: the signs of N's terms at d_exponents' six exponents
+_N_SIGNS = (1, -1, -1, 1, -1, 1)
+
+
+def _shift(n: int, k: int) -> int:
+    """The exponent s of V_W(n,k) = t^s * N / (1 - t^2)."""
+    return n * (n - 1) // 2 + k * (k - 1) - 2 * n * k
 
 
 def _numerator(n: int, k: int) -> tuple[list[tuple[int, int]], int]:
@@ -129,31 +143,53 @@ def _numerator(n: int, k: int) -> tuple[list[tuple[int, int]], int]:
     negated.  (n, k) whose N spans more than MAX_TERMS exponents is refused.
     """
     _check_k(k)
-    shift = n * (n - 1) // 2 + k * (k - 1) - 2 * n * k
-    return _merged(zip(d_exponents(n, k), (1, -1, -1, 1, -1, 1)), f"W({n},{k})"), shift
+    return _merged(zip(d_exponents(n, k), _N_SIGNS), "W", n, k), _shift(n, k)
 
 
-def _jones_numerator(n: int, k: int) -> tuple[list[tuple[int, int]], int]:
-    """_numerator(n, k), with the closed form's theorems asserted on N's terms.
+def _packed_numerator(n: int, k: int) -> tuple[int, int, int]:
+    """(top, shift, packed) for N of V_W(n,k) = t^shift * N / (1 - t^2), theorems asserted.
 
-    N(1) = N(-1) = 0 is divisibility by 1 - t^2.  With V = t^shift N / (1 - t^2),
-    sum e*c = -2 V(1) and sum e^2*c = 4 (shift - 1) V(1) - 4 V'(1), so
-    V(1) = 1, V'(1) = 0 read sum e*c = -2 and sum e^2*c = 4 shift - 4.
-    A failure raises InternalInconsistencyError.
+    N = sum c_i t^(e_i) over d_exponents' six terms, unmerged.  packed is
+    sum c_i 2^(32 (E - e_i)), E the largest e_i, with its zero low slots
+    (N's cancelled top terms) dropped, and top = E minus the slots dropped
+    is N's top exponent: packed = sum_e c_e 2^(32 (top - e)) over N's
+    merged terms, the packing of bracket's cells (three + and three -
+    terms, so every |c_e| <= 3).  No term budget is checked here: the
+    caller bounds the span, as verify_range's does.  k >= 0.
+
+    The theorems are linear in the terms, so merging cannot change them.
+    N(1) = N(-1) = 0 is divisibility by 1 - t^2; sum e*c = -2 V(1) and
+    sum e^2*c = 4 (shift - 1) V(1) - 4 V'(1), so V(1) = 1, V'(1) = 0 read
+    sum e*c = -2 and sum e^2*c = 4 shift - 4.  A failure raises
+    InternalInconsistencyError.
     """
-    terms, shift = _numerator(n, k)
-    at_one = at_minus_one = first = second = 0
-    for e, c in terms:
-        at_one += c
-        at_minus_one += -c if e & 1 else c
-        first += e * c
-        second += e * e * c
+    e0, e1, e2, e3, e4, e5 = d_exponents(n, k)
+    c0, c1, c2, c3, c4, c5 = _N_SIGNS
+    shift = _shift(n, k)
+    at_one = c0 + c1 + c2 + c3 + c4 + c5
+    # N(-1) = N(1) - 2 * (the coefficients at odd exponents)
+    at_minus_one = at_one - 2 * (
+        c0 * (e0 & 1) + c1 * (e1 & 1) + c2 * (e2 & 1)
+        + c3 * (e3 & 1) + c4 * (e4 & 1) + c5 * (e5 & 1)
+    )
+    first = c0 * e0 + c1 * e1 + c2 * e2 + c3 * e3 + c4 * e4 + c5 * e5
+    second = (
+        c0 * e0 * e0 + c1 * e1 * e1 + c2 * e2 * e2
+        + c3 * e3 * e3 + c4 * e4 * e4 + c5 * e5 * e5
+    )
     if at_one or at_minus_one or first != -2 or second != 4 * shift - 4:
         raise InternalInconsistencyError(
             f"W({n},{k}): numerator N(1)={at_one}, N(-1)={at_minus_one}, "
             f"sum e*c={first}, sum e^2*c={second}; expected (0, 0, -2, {4 * shift - 4})"
         )
-    return terms, shift
+    top = max(e0, e1, e2, e3, e4, e5)
+    packed = (
+        (c0 << 32 * (top - e0)) + (c1 << 32 * (top - e1)) + (c2 << 32 * (top - e2))
+        + (c3 << 32 * (top - e3)) + (c4 << 32 * (top - e4)) + (c5 << 32 * (top - e5))
+    )
+    # N != 0, since sum e*c = -2: drop its zero low slots as bracket._cell_add does
+    z = ((packed & -packed).bit_length() - 1) >> 5
+    return top - z, shift, packed >> 32 * z
 
 
 def _jones_dense(n: int, k: int) -> tuple[int, list[int]]:
@@ -165,7 +201,7 @@ def _jones_dense(n: int, k: int) -> tuple[int, list[int]]:
     MAX_TERMS exponents is refused before anything dense is built.
     """
     terms, shift = _numerator(n, k)
-    lo, s = _closed_form(terms, shift, f"W({n},{k})")
+    lo, s = _closed_form(terms, shift, "W", n, k)
     # sum_j (lo + j) s[j] == (lo + len) V(1) - sum of the prefix sums of s
     value = sum(s)
     deriv = (lo + len(s)) * value - sum(accumulate(s))

@@ -11,7 +11,9 @@ from cyclojones.bracket import (
     _cell,
     _cell_add,
     _cell_to_jones,
+    _check_budget,
     _check_slots,
+    _level_terms,
     _pack,
     _unpack,
     _windows,
@@ -27,7 +29,15 @@ from cyclojones.bracket import (
 )
 from cyclojones.errors import InexactDivisionError, InternalInconsistencyError, TagError
 from cyclojones.laurent import LaurentPoly, _from_dense, parse_poly
-from cyclojones.wnk import _jones_dense, d_exponents, jones_wnk, writhe_wnk
+from cyclojones.wnk import (
+    MAX_TERMS,
+    _jones_dense,
+    _numerator,
+    _packed_numerator,
+    d_exponents,
+    jones_wnk,
+    writhe_wnk,
+)
 
 A_MINUS_8_MINUS_1 = LaurentPoly({-8: 1, 0: -1}, "A")
 A_KINK = LaurentPoly({-1: 1, 3: -1}, "A")  # A^-1 - A^3
@@ -41,6 +51,36 @@ def reference_bracket(n, k, v):
 def packed(lo, coeffs):
     """The packed cell of sum_j coeffs[j] A^(lo + 4j)."""
     return lo, sum(c << 32 * j for j, c in enumerate(coeffs))
+
+
+def cell_terms(n, j):
+    """span(d_polynomial(n, j)) - 1, the terms the budget counts for cell (n, j)."""
+    e = d_exponents(n, j)
+    return max(e) - min(e) - 1
+
+
+def reference_refuses(n_abs_max, k_max):
+    """The budget's decision summed cell by cell, stopping once it passes MAX_TERMS."""
+    total = 0
+    for j, window in enumerate(_windows(n_abs_max, k_max)):
+        for n in range(-window, window + 1):
+            total += cell_terms(n, j)
+            if total > MAX_TERMS:
+                return True
+    return False
+
+
+def refuses(n_abs_max, k_max):
+    try:
+        _check_budget(n_abs_max, k_max)
+    except ValueError:
+        return True
+    return False
+
+
+def packed_terms(terms, top):
+    """sum_e c_e 2^(32 (top - e)) over N's terms (e, c)."""
+    return sum(c << 32 * (top - e) for e, c in terms)
 
 
 def balanced_slots(x):
@@ -93,10 +133,18 @@ class TestTorusJones:
             raise Reached
 
         monkeypatch.setattr(cyclojones.wnk, "_stride_div", reached)
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(ValueError, match=r"^T\(524288,524289\): the closed form spans 1048577 exponents"):
             torus_jones(2**19, 2**19 + 1)
         with pytest.raises(Reached):
             torus_jones(2**19 - 1, 2**19)
+
+    def test_division_failure_names_the_knot(self, monkeypatch):
+        def inexact(s, d):
+            raise InexactDivisionError("planted")
+
+        monkeypatch.setattr(cyclojones.wnk, "_stride_div", inexact)
+        with pytest.raises(InternalInconsistencyError, match=r"^T\(2,3\): closed-form numerator not divisible"):
+            torus_jones(2, 3)
 
     def test_k_zero_column_matches_closed_form(self):
         for n in range(2, 9):
@@ -263,12 +311,85 @@ class TestTrimmedCells:
                 coeffs = _unpack(x)
                 assert coeffs[0] and coeffs[-1]
                 entries += len(coeffs)
-        budget = 0  # the count bracket_levels checks against MAX_TERMS
+        budget = 0  # the count bracket_levels checks against MAX_TERMS, cell by cell
         for j, window in enumerate(_windows(a, k)):
             for n in range(-window, window + 1):
-                e = d_exponents(n, j)
-                budget += max(e) - min(e) - 1
+                budget += cell_terms(n, j)
         assert entries <= budget
+        assert sum(_level_terms(j, -w, w) for j, w in enumerate(_windows(a, k))) == budget
+
+
+class TestBudgetClosedForm:
+    @pytest.mark.parametrize("j", range(61))
+    def test_level_sum_matches_cells(self, j):
+        # every single cell, and every window lo..130 and -90..hi, ends included:
+        # each window is cut by the crossings of the six exponent lines (up to
+        # n = 2j + 1) in a different place
+        lo_min, hi_max = -90, 130
+        cells = [cell_terms(n, j) for n in range(lo_min, hi_max + 1)]
+        for i, n in enumerate(range(lo_min, hi_max + 1)):
+            assert _level_terms(j, n, n) == cells[i]
+            assert _level_terms(j, n, hi_max) == sum(cells[i:])
+            assert _level_terms(j, lo_min, n) == sum(cells[: i + 1])
+
+    def test_same_refusals_as_the_cell_sum(self):
+        # per k_max, the widest accepted n_abs_max and the next one, by both sums
+        for k_max in range(40):
+            lo, hi = -1, 2**20  # refuses(lo) is False or lo = -1; refuses(hi) is True
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if refuses(mid, k_max) else (mid, hi)
+            if lo >= 0:
+                assert not reference_refuses(lo, k_max)
+            assert reference_refuses(hi, k_max)
+        assert hi == 0 and lo == -1  # k_max = 39 is refused even at n 0..0
+
+    @pytest.mark.parametrize(
+        "n_abs_max, k_max, refused",
+        [(0, 38, False), (0, 39, True), (100000, 1, True), (721, 0, False), (722, 0, True), (47, 20, False), (48, 20, True)],
+    )
+    def test_budget_edges(self, n_abs_max, k_max, refused):
+        assert refuses(n_abs_max, k_max) is refused is reference_refuses(n_abs_max, k_max)
+
+    def test_totals(self):
+        # the counts the README quotes: the default sweep (n -6..8, k 0..5) and n -40..40, k 0..20
+        for (a, k), total in {(8, 5): 5846, (40, 20): 835821}.items():
+            assert sum(_level_terms(j, -w, w) for j, w in enumerate(_windows(a, k))) == total
+
+
+class TestPackedNumerator:
+    @pytest.mark.parametrize("k", range(31))
+    def test_matches_the_merged_terms(self, k):
+        for n in range(-60, 61):
+            terms, shift = _numerator(n, k)
+            top = terms[-1][0]
+            assert _packed_numerator(n, k) == (top, shift, packed_terms(terms, top))
+
+    @pytest.mark.parametrize(
+        "cells, pair",
+        [
+            ([(n, 0) for n in range(-60, 61)], (3, 4)),  # k = 0: t^e3 = t^e4 = t
+            ([(0, k) for k in range(31)], (0, 4)),  # n = 0: t^e0 = t^e4 = t
+            ([(-1, k) for k in range(31)], (2, 5)),  # n = -1: t^e2 = t^e5 = 1
+        ],
+        ids=["k=0", "n=0", "n=-1"],
+    )
+    def test_coinciding_terms_cancel(self, cells, pair):
+        i, j = pair
+        for n, k in cells:
+            e = d_exponents(n, k)
+            assert e[i] == e[j]
+            terms, shift = _numerator(n, k)
+            assert len(terms) < 6
+            top = terms[-1][0]
+            assert _packed_numerator(n, k) == (top, shift, packed_terms(terms, top))
+
+    def test_cancelled_top_slots_dropped(self):
+        # k = 0, n <= -2: the top raw terms +t - t cancel, so N's top lies below max(e)
+        for n in range(-60, -1):
+            top, _, packed = _packed_numerator(n, 0)
+            assert top < max(d_exponents(n, 0))
+            assert packed & 0xFFFFFFFF
 
 
 class TestPackedCells:
@@ -498,43 +619,59 @@ class TestOracleEquivalence:
     def test_planted_closed_form_mismatches(self, monkeypatch, shift, sign):
         # a closed form off by t^shift (its cell's lo off by 4) or by sign
         # disagrees with its cell only
-        true_numerator = cyclojones.bracket._jones_numerator
+        true_numerator = cyclojones.bracket._packed_numerator
 
         def planted(n, k):
-            terms, s = true_numerator(n, k)
+            top, s, packed = true_numerator(n, k)
             if (n, k) == (3, 2):
-                return [(e, sign * c) for e, c in terms], s + shift
-            return terms, s
+                return top, s + shift, sign * packed
+            return top, s, packed
 
-        monkeypatch.setattr(cyclojones.bracket, "_jones_numerator", planted)
+        monkeypatch.setattr(cyclojones.bracket, "_packed_numerator", planted)
         results = verify_range(-4, 4, 0, 3)
         assert [(n, k) for n, k, ok in results if not ok] == [(3, 2)]
 
     @pytest.mark.parametrize("index", [0, 2, -1], ids=["lowest", "middle", "top"])
     def test_planted_numerator_term_mismatches(self, monkeypatch, index):
-        # one of the six terms with its sign flipped, past the theorem checks
-        true_numerator = cyclojones.bracket._jones_numerator
+        # one of N's merged terms with its sign flipped, past the theorem checks
+        true_numerator = cyclojones.bracket._packed_numerator
 
         def planted(n, k):
-            terms, s = true_numerator(n, k)
+            top, s, packed = true_numerator(n, k)
             if (n, k) == (-2, 3):
-                e, c = terms[index]
-                terms = [*terms]
-                terms[index] = e, -c
-            return terms, s
+                e, c = _numerator(n, k)[0][index]
+                packed -= 2 * c << 32 * (top - e)
+            return top, s, packed
 
-        monkeypatch.setattr(cyclojones.bracket, "_jones_numerator", planted)
+        monkeypatch.setattr(cyclojones.bracket, "_packed_numerator", planted)
         results = verify_range(-4, 4, 0, 3)
         assert [(n, k) for n, k, ok in results if not ok] == [(-2, 3)]
 
     @pytest.mark.parametrize(
-        "terms, shift",
-        [([(0, 1)], 0), ([(0, 1), (1, -1)], 0), ([(0, 2), (2, -2)], 0), ([(0, 1), (2, -1)], 1)],
-        ids=["N(1)=1", "N(-1)=2", "V(1)=2", "V'(1)=1"],
+        "exponents, signs",
+        [
+            (None, (1, -1, -1, 1, -1, 2)),  # N = 2 - t^2
+            ((0, 1, 5, 5, 7, 7), None),  # N = 1 - t
+            ((0, 2, 2, 0, 5, 5), None),  # N = 2 - 2t^2: V = 2
+            ((1, 3, 0, 0, 0, 0), None),  # N = t - t^3: V = t
+            ((-1, 1, 2, 0, 5, 5), None),  # N = t^-1 + 1 - t - t^2: V = t^-1 + 1
+            ((0, 1, 2, 3, 4, 4), (8, 3, -4, 1, 1, -1)),  # N = 1 - t^2 + 7 + (t - 1)^3
+            ((0, 1, 2, 3, 4, 4), (2, -3, 2, -1, 1, -1)),  # N = 1 - t^2 + (1 - t)^3
+        ],
+        ids=["N(1)=1", "N(-1)=2", "V(1)=2", "V'(1)=1", "V(1)=2 V'(1)=-1", "N(1)=8", "N(-1)=8"],
     )
-    def test_broken_numerator_identity_raises(self, monkeypatch, terms, shift):
-        # each of the closed form's theorems, broken alone, stops the sweep
-        monkeypatch.setattr(cyclojones.wnk, "_numerator", lambda n, k: (terms, shift))
+    def test_broken_numerator_identity_raises(self, monkeypatch, exponents, signs):
+        # each of the closed form's theorems broken at W(0,0), shift 0, stops
+        # the sweep, and each of the four checks is the only one failing in
+        # some case: sum e^2*c in V'(1)=1, sum e*c in V(1)=2 V'(1)=-1 (V = 2
+        # fails both sums), N(1) and N(-1) in the last two.  Those add to
+        # 1 - t^2 a constant or a multiple of (t - 1)^3, which leaves both sums
+        # as they are; d's three + and three - terms cannot break N(1) or N(-1)
+        # alone, so the last two change the coefficients too
+        if exponents:
+            monkeypatch.setattr(cyclojones.wnk, "d_exponents", lambda n, k: exponents)
+        if signs:
+            monkeypatch.setattr(cyclojones.wnk, "_N_SIGNS", signs)
         with pytest.raises(InternalInconsistencyError, match="numerator"):
             verify_range(0, 0, 0, 0)
 
@@ -553,8 +690,20 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize(
         "call",
-        [lambda: verify_range(0, 100000, 0, 1), lambda: bracket_wnk(10**5, 1)],
-        ids=["verify_range(0, 100000, 0, 1)", "bracket_wnk(10**5, 1)"],
+        [
+            lambda: verify_range(0, 100000, 0, 1),
+            lambda: bracket_wnk(10**5, 1),
+            lambda: bracket_levels(0, 10**8),
+            lambda: bracket_wnk(0, 10**8),
+            lambda: verify_range(0, 0, 0, 10**9),
+        ],
+        ids=[
+            "verify_range(0, 100000, 0, 1)",
+            "bracket_wnk(10**5, 1)",
+            "bracket_levels(0, 10**8)",
+            "bracket_wnk(0, 10**8)",
+            "verify_range(0, 0, 0, 10**9)",
+        ],
     )
     def test_oversized_rejected_before_building(self, monkeypatch, call):
         def refuse(n):

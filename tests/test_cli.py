@@ -90,16 +90,16 @@ class TestVerifyCommand:
 
     @staticmethod
     def _flip_two_cells(monkeypatch):
-        true_numerator = cyclojones.bracket._jones_numerator
+        true_numerator = cyclojones.bracket._packed_numerator
 
         def flipped(n, k):
-            terms, shift = true_numerator(n, k)
+            top, shift, packed = true_numerator(n, k)
             if (n, k) in ((2, 0), (0, 1)):
-                (e, c), *rest = terms
-                terms = [(e, -c), *rest]  # flip one numerator term
-            return terms, shift
+                e, c = cyclojones.wnk._numerator(n, k)[0][0]
+                packed -= 2 * c << 32 * (top - e)  # flip N's lowest term
+            return top, shift, packed
 
-        monkeypatch.setattr(cyclojones.bracket, "_jones_numerator", flipped)
+        monkeypatch.setattr(cyclojones.bracket, "_packed_numerator", flipped)
 
     def test_injected_fault_exits_2(self, capsys, monkeypatch):
         # mismatches are listed in (k, n) order, the order verify_range returns
@@ -141,8 +141,8 @@ class TestVerifyCommand:
         assert "differ mod 4" in err
 
     def test_broken_numerator_identity_exits_2(self, capsys, monkeypatch):
-        # 1 - t^2 under t^1: V = t has V'(1) = 1
-        monkeypatch.setattr(cyclojones.wnk, "_numerator", lambda n, k: ([(0, 1), (2, -1)], 1))
+        # N = t - t^3 at W(0,0), under t^0: V = t has V'(1) = 1
+        monkeypatch.setattr(cyclojones.wnk, "d_exponents", lambda n, k: (1, 3, 0, 0, 0, 0))
         code, _, err = run(capsys, "verify", "--n", "0..2", "--k", "0..1")
         assert code == 2
         assert "numerator" in err
@@ -337,6 +337,7 @@ class TestUsage:
             ["obstruct", "--max", "100000000"],
             ["table", "--k-max", "80"],
             ["table", "--k-max", "1000"],
+            ["verify", "--n", "0..0", "--k", "0..100000000"],
         ],
         ids=" ".join,
     )

@@ -319,7 +319,7 @@ class TestTermBudget:
             raise AssertionError("the stride division was called")
 
         monkeypatch.setattr(cyclojones.wnk, "_stride_div", refuse)
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(ValueError, match=rf"^W\({n},{k}\): the closed form spans .* budget"):
             jones_wnk(n, k)
 
     def test_largest_mersenne_member_within_budget(self):
