@@ -346,7 +346,15 @@ class TestBudgetClosedForm:
 
     @pytest.mark.parametrize(
         "n_abs_max, k_max, refused",
-        [(0, 38, False), (0, 39, True), (100000, 1, True), (721, 0, False), (722, 0, True), (47, 20, False), (48, 20, True)],
+        [
+            (0, 38, False),
+            (0, 39, True),
+            (100000, 1, True),
+            (721, 0, False),
+            (722, 0, True),
+            (47, 20, False),
+            (48, 20, True),
+        ],
     )
     def test_budget_edges(self, n_abs_max, k_max, refused):
         assert refuses(n_abs_max, k_max) is refused is reference_refuses(n_abs_max, k_max)
