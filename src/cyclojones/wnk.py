@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
 from .arith import isprime
@@ -146,16 +145,8 @@ def _numerator(n: int, k: int) -> tuple[list[tuple[int, int]], int]:
     return _merged(zip(d_exponents(n, k), _N_SIGNS), "W", n, k), _shift(n, k)
 
 
-def _packed_numerator(n: int, k: int) -> tuple[int, int, int]:
-    """(top, shift, packed) for N of V_W(n,k) = t^shift * N / (1 - t^2), theorems asserted.
-
-    N = sum c_i t^(e_i) over d_exponents' six terms, unmerged.  packed is
-    sum c_i 2^(32 (E - e_i)), E the largest e_i, with its zero low slots
-    (N's cancelled top terms) dropped, and top = E minus the slots dropped
-    is N's top exponent: packed = sum_e c_e 2^(32 (top - e)) over N's
-    merged terms, the packing of bracket's cells (three + and three -
-    terms, so every |c_e| <= 3).  No term budget is checked here: the
-    caller bounds the span, as verify_range's does.  k >= 0.
+def _assert_numerator(n: int, k: int, exponents: tuple[int, ...], shift: int) -> None:
+    """Assert the closed form's theorems on N = sum c_i t^(e_i), its six terms unmerged.
 
     The theorems are linear in the terms, so merging cannot change them.
     N(1) = N(-1) = 0 is divisibility by 1 - t^2; sum e*c = -2 V(1) and
@@ -163,9 +154,8 @@ def _packed_numerator(n: int, k: int) -> tuple[int, int, int]:
     sum e*c = -2 and sum e^2*c = 4 shift - 4.  A failure raises
     InternalInconsistencyError.
     """
-    e0, e1, e2, e3, e4, e5 = d_exponents(n, k)
+    e0, e1, e2, e3, e4, e5 = exponents
     c0, c1, c2, c3, c4, c5 = _N_SIGNS
-    shift = _shift(n, k)
     at_one = c0 + c1 + c2 + c3 + c4 + c5
     # N(-1) = N(1) - 2 * (the coefficients at odd exponents)
     at_minus_one = at_one - 2 * (
@@ -182,7 +172,26 @@ def _packed_numerator(n: int, k: int) -> tuple[int, int, int]:
             f"W({n},{k}): numerator N(1)={at_one}, N(-1)={at_minus_one}, "
             f"sum e*c={first}, sum e^2*c={second}; expected (0, 0, -2, {4 * shift - 4})"
         )
-    top = max(e0, e1, e2, e3, e4, e5)
+
+
+def _packed_numerator(n: int, k: int) -> tuple[int, int, int]:
+    """(top, shift, packed) for N of V_W(n,k) = t^shift * N / (1 - t^2), theorems asserted.
+
+    N = sum c_i t^(e_i) over d_exponents' six terms, unmerged.  packed is
+    sum c_i 2^(32 (E - e_i)), E the largest e_i, with its zero low slots
+    (N's cancelled top terms) dropped, and top = E minus the slots dropped
+    is N's top exponent: packed = sum_e c_e 2^(32 (top - e)) over N's
+    merged terms, the packing of bracket's cells (three + and three -
+    terms, so every |c_e| <= 3).  No term budget is checked here: the
+    caller bounds the span, as verify_range's does.  k >= 0.
+    _assert_numerator asserts N's theorems.
+    """
+    exponents = d_exponents(n, k)
+    shift = _shift(n, k)
+    _assert_numerator(n, k, exponents, shift)
+    e0, e1, e2, e3, e4, e5 = exponents
+    c0, c1, c2, c3, c4, c5 = _N_SIGNS
+    top = max(exponents)
     packed = (
         (c0 << 32 * (top - e0)) + (c1 << 32 * (top - e1)) + (c2 << 32 * (top - e2))
         + (c3 << 32 * (top - e3)) + (c4 << 32 * (top - e4)) + (c5 << 32 * (top - e5))
@@ -196,19 +205,15 @@ def _jones_dense(n: int, k: int) -> tuple[int, list[int]]:
     """V_W(n,k) by the closed form, as (lowest exponent, coefficients).
 
     _closed_form divides _numerator's N by 1 - t^2; the list has nonzero
-    ends.  The division and V(1) = 1, V'(1) = 0 are theorems, asserted on
-    the list on every call.  (n, k) whose numerator spans more than
-    MAX_TERMS exponents is refused before anything dense is built.
+    ends.  The division is a theorem, asserted by its remainder, and
+    V(1) = 1, V'(1) = 0 are asserted on N's six terms by
+    _assert_numerator, in O(1) on every call.  (n, k) whose numerator
+    spans more than MAX_TERMS exponents is refused before anything dense
+    is built.
     """
     terms, shift = _numerator(n, k)
     lo, s = _closed_form(terms, shift, "W", n, k)
-    # sum_j (lo + j) s[j] == (lo + len) V(1) - sum of the prefix sums of s
-    value = sum(s)
-    deriv = (lo + len(s)) * value - sum(accumulate(s))
-    if value != 1 or deriv != 0:
-        raise InternalInconsistencyError(
-            f"W({n},{k}): V(1)={value}, V'(1)={deriv}; expected (1, 0)"
-        )
+    _assert_numerator(n, k, d_exponents(n, k), shift)
     return lo, s
 
 

@@ -125,3 +125,24 @@ class TestRuntimeImports:
             "print(before, 'numpy' in sys.modules, m)"
         )
         assert out == "False True 2.0"
+
+    def test_over_budget_mahler_refused_before_numpy(self):
+        out = run_fresh(
+            "from cyclojones import LaurentPoly, mahler_measure\n"
+            "from cyclojones.cyclotomic import MAX_NUMERIC_DEGREE\n"
+            "try:\n"
+            "    mahler_measure(LaurentPoly({MAX_NUMERIC_DEGREE + 1: 1, 0: -2}))\n"
+            "except ValueError as exc:\n"
+            "    print('numpy' in sys.modules, exc)"
+        )
+        assert out == "False a numeric Mahler measure of degree 2001 is over the budget of degree 2000"
+
+    def test_iteration_loads_no_numpy_module_beyond_np_roots(self):
+        # degree 167 takes the Aberth iteration; its FFT is numpy core, not numpy.fft
+        loaded = "print(*(m for m in sys.modules if m.startswith('numpy')))"
+        by_roots = run_fresh("import numpy\nnumpy.roots([1, 2, 3])\n" + loaded)
+        by_iteration = run_fresh(
+            "from cyclojones import jones_wnk, mahler_measure\n"
+            "mahler_measure(jones_wnk(28, 4))\n" + loaded
+        )
+        assert set(by_iteration.split()) <= set(by_roots.split())

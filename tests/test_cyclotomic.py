@@ -1,5 +1,9 @@
 import json
+from functools import reduce
+from operator import mul
 
+import mpmath
+import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
@@ -7,6 +11,9 @@ from sympy import divisors
 
 import cyclojones.cyclotomic
 from cyclojones.cyclotomic import (
+    MAX_NUMERIC_DEGREE,
+    MAX_QR_DEGREE,
+    _aberth_measure,
     _index_bound,
     euler_totient,
     is_cyclotomic_product,
@@ -17,7 +24,7 @@ from cyclojones.cyclotomic import (
     phitilde_root_exponents,
 )
 from cyclojones.errors import InternalInconsistencyError
-from cyclojones.laurent import MAX_TERMS, LaurentPoly, parse_poly
+from cyclojones.laurent import MAX_TERMS, LaurentPoly, _dense, _from_dense, parse_poly
 from cyclojones.wnk import jones_wnk
 
 
@@ -353,6 +360,98 @@ class TestMahlerMeasure:
         # degree 576; np.roots gave 1 + 3e-12, digits that depend on the BLAS
         assert mahler_measure(jones_wnk(32, 16)) == 1.0
         assert mahler_measure(phi_tilde(49).scale(-1, 5)) == 1.0
+
+
+def _qr_measure(coeffs):
+    """The measure from np.roots, as mahler_measure took it before the iteration."""
+    descending = coeffs[::-1]
+    measure = float(abs(descending[0]))
+    for r in np.roots(descending):
+        measure *= max(1.0, abs(r))
+    return measure
+
+
+def _power(text, e):
+    return reduce(mul, [parse_poly(text)] * e)
+
+
+# M(V_W(n,k)) for non-symmetric members on both sides of MAX_QR_DEGREE, from
+# mpmath.polyroots(descending coefficients, maxsteps=600, extraprec=40) at
+# mp.dps = 40, whose error estimate was 2.3e-41 on each; W(28,4) has degree
+# 167, and W(-40,3) (degree 198) was the iteration's worst member against
+# np.roots over n -40..40, k 0..15.
+MPMATH_MEASURES = {
+    (-19, 2, 74): "1.692830954218472184748975926948162",
+    (-11, 5, 75): "1.731329449849652901919348518325906",
+    (-26, 1, 76): "1.685020717275162899352767145584869",
+    (13, 4, 77): "1.728944036659289867993474768666036",
+    (-7, 11, 89): "1.683363141402204677056890702086189",
+    (28, 4, 167): "1.696690528363844228804114761000735",
+    (-40, 3, 198): "1.714995993641564453022441838795616",
+}
+
+
+class TestNumericMahler:
+    @pytest.mark.parametrize("n, k, deg", list(MPMATH_MEASURES))
+    def test_agrees_with_mpmath(self, n, k, deg):
+        v = jones_wnk(n, k)
+        assert v.span() == deg and not is_cyclotomic_product(v)
+        reference = float(MPMATH_MEASURES[n, k, deg])
+        assert mahler_measure(v) == pytest.approx(reference, rel=1e-12, abs=0)
+        if deg > MAX_QR_DEGREE:  # taken from the iteration, without a fallback
+            assert _aberth_measure(_dense(v)[1]) == mahler_measure(v)
+
+    @pytest.mark.parametrize("n, k", [(-12, 0), (-8, 1), (-6, 2)])
+    def test_iteration_agrees_with_live_mpmath(self, n, k):
+        # the iteration itself at degree 21..22, against 32 digits
+        coeffs = _dense(jones_wnk(n, k))[1]
+        with mpmath.workdps(32):
+            roots = mpmath.polyroots(coeffs[::-1], maxsteps=100, extraprec=10)
+            reference = abs(coeffs[-1]) * mpmath.fprod(max(1, abs(r)) for r in roots)
+        assert _aberth_measure(coeffs) == pytest.approx(float(reference), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "p, exact, iterated",
+        [
+            (_power("t^4 - 2", 20), 2.0**20, False),
+            (_power("t^2 - t - 1", 40), ((1 + 5**0.5) / 2) ** 40, False),
+            (_power("3t^2 - 1", 40), 3.0**40, False),
+            (parse_poly("1000000t - 1") * parse_poly("t^79 + t + 3"), 3e6, True),
+            (parse_poly("t^100 - 2"), 2.0, True),
+        ],
+        ids=["(t^4-2)^20", "(t^2-t-1)^40", "(3t^2-1)^40", "(10^6t-1)(t^79+t+3)", "t^100-2"],
+    )
+    def test_exact_measures(self, p, exact, iterated):
+        # a 20- or 40-fold root passes the per-root test at wrong places, and
+        # the set check sends it back to np.roots
+        assert p.span() > MAX_QR_DEGREE
+        assert (_aberth_measure(_dense(p)[1]) is not None) == iterated
+        assert mahler_measure(p) == pytest.approx(exact, rel=1e-9, abs=0)
+
+    def test_qr_side_is_np_roots_bit_for_bit(self):
+        members = [(-19, 2), (-11, 5), (15, 3), (-9, 5), (-12, 0), (7, 1), (3, 0), (-32, 0)]
+        degrees = set()
+        for n, k in members:
+            v = jones_wnk(n, k)
+            degrees.add(v.span())
+            assert mahler_measure(v) == _qr_measure(_dense(v)[1])
+        assert max(degrees) == MAX_QR_DEGREE and min(degrees) < 10
+
+    def test_degree_budget_edge(self, monkeypatch):
+        assert mahler_measure(_from_dense(0, [-2] + [0] * (MAX_NUMERIC_DEGREE - 1) + [1])) == (
+            pytest.approx(2.0, rel=1e-9, abs=0)
+        )
+        # a cyclotomic product is exact at any degree
+        assert mahler_measure(phi_tilde(2 * MAX_NUMERIC_DEGREE + 1)) == 1.0
+
+        def refuse(coeffs):
+            raise AssertionError("the iteration was started")
+
+        monkeypatch.setattr(cyclojones.cyclotomic, "_aberth_measure", refuse)
+        monkeypatch.setattr(np, "roots", refuse)
+        over = _from_dense(0, [-2] + [0] * MAX_NUMERIC_DEGREE + [1])
+        with pytest.raises(ValueError, match=f"degree {MAX_NUMERIC_DEGREE + 1} is over the budget"):
+            mahler_measure(over)
 
 
 class TestPhitildeRootExponents:

@@ -2,7 +2,7 @@ import pytest
 
 import cyclojones.wnk
 from cyclojones.cyclotomic import _alternating, is_cyclotomic_product, phi, phi_sym, phi_tilde
-from cyclojones.errors import InternalInconsistencyError
+from cyclojones.errors import InexactDivisionError, InternalInconsistencyError
 from cyclojones.laurent import LaurentPoly, _from_dense, parse_poly
 from cyclojones.wnk import (
     _jones_dense,
@@ -294,10 +294,14 @@ class TestQuotientCheck:
 
     def test_planted_derivative_raises(self, monkeypatch):
         # W(1,1)'s numerator under W(3,1)'s prefactor t^-3 instead of t^-2:
-        # V(1) = 1 still, but the shift by t^-1 makes V'(1) = -1
+        # V(1) = 1 still (sum e*c = -2), but the shift by t^-1 makes V'(1) = -1,
+        # so sum e^2*c = 4 (s - 1) V(1) - 4 V'(1) = -12 against 4 s - 4 = -16
         true_exponents = cyclojones.wnk.d_exponents
         monkeypatch.setattr(cyclojones.wnk, "d_exponents", lambda n, k: true_exponents(1, 1))
-        with pytest.raises(InternalInconsistencyError, match=r"W\(3,1\): V\(1\)=1, V'\(1\)=-1"):
+        with pytest.raises(
+            InternalInconsistencyError,
+            match=r"W\(3,1\): numerator .*sum e\*c=-2, sum e\^2\*c=-12; expected \(0, 0, -2, -16\)",
+        ):
             jones_wnk(3, 1)
 
     def test_division_reached_for_a_cell(self, monkeypatch):
@@ -305,10 +309,11 @@ class TestQuotientCheck:
 
         def record(s, d):
             calls.append(d)
+            raise InexactDivisionError("planted remainder")
 
         monkeypatch.setattr(cyclojones.wnk, "_stride_div", record)
-        with pytest.raises(InternalInconsistencyError):
-            jones_wnk(1, 1)  # the unreduced numerator fails V(1) = 1
+        with pytest.raises(InternalInconsistencyError, match=r"W\(1,1\).*not divisible"):
+            jones_wnk(1, 1)
         assert calls == [2]
 
 
