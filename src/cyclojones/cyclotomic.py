@@ -347,8 +347,9 @@ def _aberth_measure(coeffs: list[int]) -> Optional[float]:
     unconverged root estimate z_i by w_i = N_i / (1 - N_i sum_{j != i}
     1/(z_i - z_j)), N_i = p(z_i)/p'(z_i) (Aberth 1973): O(D^2) per step.
     An estimate with |z| > 1 is evaluated on the reversed polynomial at
-    1/z, so no power of z overflows.  It is frozen once |p(z)| <=
-    2 (D + 1) eps sum |a_j| |z|^j, which rounding alone can reach.  That
+    1/z, so no power of z overflows.  Once |p(z)| <= 2 (D + 1) eps
+    sum |a_j| |z|^j, which rounding alone can reach, it takes one more
+    step and is frozen.  That
     test is per root and passes on a cluster of wrong estimates around a
     repeated root, so the whole set is checked at the end: a_D prod
     (x - z_i) must equal P within _SET_TOL eps ||a||_1 at K >= D + 1
@@ -397,8 +398,8 @@ def _aberth_measure(coeffs: list[int]) -> Optional[float]:
         moving = np.abs(val) > tol * bound
         # a converged estimate takes this one more step and then stays: on
         # the W(n,k) of degree 76..260 that cuts the set check's worst
-        # error from about 3500 to 120 units, and from 5.6e-13 to 2.2e-13
-        # relative the worst distance from np.roots' measure
+        # error from about 3500 to 120 units, and the measure's error at
+        # W(-40,3) from 4.6e-13 to 5e-16 (against mpmath at 40 digits)
         step = val != 0
         idx, zs, us = active[step], za[step], u[step]
         q = der[step] / val[step]

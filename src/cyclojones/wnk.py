@@ -184,7 +184,6 @@ def _packed_numerator(n: int, k: int) -> tuple[int, int, int]:
     merged terms, the packing of bracket's cells (three + and three -
     terms, so every |c_e| <= 3).  No term budget is checked here: the
     caller bounds the span, as verify_range's does.  k >= 0.
-    _assert_numerator asserts N's theorems.
     """
     exponents = d_exponents(n, k)
     shift = _shift(n, k)

@@ -24,7 +24,7 @@ from cyclojones.cyclotomic import (
     phitilde_root_exponents,
 )
 from cyclojones.errors import InternalInconsistencyError
-from cyclojones.laurent import MAX_TERMS, LaurentPoly, _dense, _from_dense, parse_poly
+from cyclojones.laurent import MAX_TERMS, LaurentPoly, _dense, parse_poly
 from cyclojones.wnk import jones_wnk
 
 
@@ -425,8 +425,18 @@ class TestNumericMahler:
         # a 20- or 40-fold root passes the per-root test at wrong places, and
         # the set check sends it back to np.roots
         assert p.span() > MAX_QR_DEGREE
-        assert (_aberth_measure(_dense(p)[1]) is not None) == iterated
+        coeffs = _dense(p)[1]
+        assert (_aberth_measure(coeffs) is not None) == iterated
         assert mahler_measure(p) == pytest.approx(exact, rel=1e-9, abs=0)
+        if not iterated:
+            assert mahler_measure(p) == _qr_measure(coeffs)
+
+    def test_step_cap_falls_back_to_np_roots(self, monkeypatch):
+        monkeypatch.setattr(cyclojones.cyclotomic, "_ABERTH_STEPS", 2)
+        v = jones_wnk(28, 4)
+        coeffs = _dense(v)[1]
+        assert _aberth_measure(coeffs) is None
+        assert mahler_measure(v) == _qr_measure(coeffs)
 
     def test_qr_side_is_np_roots_bit_for_bit(self):
         members = [(-19, 2), (-11, 5), (15, 3), (-9, 5), (-12, 0), (7, 1), (3, 0), (-32, 0)]
@@ -438,18 +448,17 @@ class TestNumericMahler:
         assert max(degrees) == MAX_QR_DEGREE and min(degrees) < 10
 
     def test_degree_budget_edge(self, monkeypatch):
-        assert mahler_measure(_from_dense(0, [-2] + [0] * (MAX_NUMERIC_DEGREE - 1) + [1])) == (
-            pytest.approx(2.0, rel=1e-9, abs=0)
-        )
+        edge = LaurentPoly({MAX_NUMERIC_DEGREE: 1, 0: -2})
+        assert mahler_measure(edge) == pytest.approx(2.0, rel=1e-9, abs=0)
         # a cyclotomic product is exact at any degree
         assert mahler_measure(phi_tilde(2 * MAX_NUMERIC_DEGREE + 1)) == 1.0
 
         def refuse(coeffs):
-            raise AssertionError("the iteration was started")
+            raise AssertionError("numeric root finding was started")
 
         monkeypatch.setattr(cyclojones.cyclotomic, "_aberth_measure", refuse)
         monkeypatch.setattr(np, "roots", refuse)
-        over = _from_dense(0, [-2] + [0] * MAX_NUMERIC_DEGREE + [1])
+        over = LaurentPoly({MAX_NUMERIC_DEGREE + 1: 1, 0: -2})
         with pytest.raises(ValueError, match=f"degree {MAX_NUMERIC_DEGREE + 1} is over the budget"):
             mahler_measure(over)
 
