@@ -444,8 +444,9 @@ def mahler_measure(p: LaurentPoly) -> float:
     set is checked against P on the unit circle; if it does not converge
     or the check fails (as it does around a repeated root), np.roots is
     taken after all.  np.roots' last digits can vary with the BLAS build and thread
-    count.  A non-cyclotomic input of degree over MAX_NUMERIC_DEGREE is
-    refused with ValueError before any numeric work.
+    count.  Every path returns a built-in float, not np.float64.  A
+    non-cyclotomic input of degree over MAX_NUMERIC_DEGREE is refused
+    with ValueError before any numeric work.
     """
     if not p:
         raise ValueError("Mahler measure of the zero polynomial is undefined")
@@ -476,7 +477,7 @@ def mahler_measure(p: LaurentPoly) -> float:
     measure = float(abs(coeffs[0]))
     for r in roots:
         measure *= max(1.0, abs(r))
-    return measure
+    return float(measure)
 
 
 def phitilde_root_exponents(m: int) -> list[int]:

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
 from .arith import isprime
-from .cyclotomic import _alternating, phi_tilde
+from .cyclotomic import phi_tilde
 from .errors import InexactDivisionError, InternalInconsistencyError
 from .laurent import MAX_TERMS, LaurentPoly, _from_dense, _stride_div, poly_to_json
 
@@ -208,7 +208,8 @@ def _jones_dense(n: int, k: int) -> tuple[int, list[int]]:
     V(1) = 1, V'(1) = 0 are asserted on N's six terms by
     _assert_numerator, in O(1) on every call.  (n, k) whose numerator
     spans more than MAX_TERMS exponents is refused before anything dense
-    is built.
+    is built.  jones_wnk decodes it, and the tests take it as the dense
+    reference for classify_symmetry's proof on N's terms.
     """
     terms, shift = _numerator(n, k)
     lo, s = _closed_form(terms, shift, "W", n, k)
@@ -239,27 +240,39 @@ def quadruplet(k: int) -> dict[int, SymmetryClass]:
 def classify_symmetry(n: int, k: int) -> SymmetryClass:
     """Which of the four symmetric families (n,k) belongs to, if any.
 
-    Driven by the arithmetic condition on (n,k), read from quadruplet(k);
-    V's coefficient list is then checked, since the classification theorem
-    is an equivalence: a member's V must be phi_tilde(m)'s alternating list
-    (no Phi_n and no LaurentPoly is built), and any other V must not be
-    symmetric.  For k = 0 every member is reported NOT_SYMMETRIC (the
-    nontrivial ones genuinely are; the trivial ones have V = 1).
+    Driven by the arithmetic condition on (n,k), read from quadruplet(k),
+    and then proved both ways, since the classification theorem is an
+    equivalence.  The proof reads the closed form's numerator N, with
+    V = t^s N / (1 - t^2), in O(1): no list, no Phi_n and no LaurentPoly
+    is built.  (1 - t^2) phi_tilde(m) = t^-h (1 - t)(1 + t^m), h = (m - 1)/2,
+    so a member's V is phi_tilde(m) exactly when t^s N has those four
+    terms (1 - t^2 when m = 1).  Any other V must not be symmetric, and
+    V(t) = V(1/t) exactly when t^s N's coefficients satisfy c_e = -c_(2-e).
+    _assert_numerator's N(1) = N(-1) = 0, the divisibility by 1 - t^2, is
+    what lets N stand in for V.  An (n,k) over jones_wnk's span rule is
+    refused as jones_wnk refuses it.  For k = 0 every member is reported
+    NOT_SYMMETRIC (the nontrivial ones genuinely are; the trivial ones
+    have V = 1).
     """
     _check_k(k)
     if k == 0:
         return NOT_SYMMETRIC
     out = quadruplet(k).get(n, NOT_SYMMETRIC)
-    lo, v = _jones_dense(n, k)
+    terms, shift = _numerator(n, k)
+    shifted = [(e + shift, c) for e, c in terms]
     if out.symmetric:
-        if (lo, v) != _alternating(out.m):
+        m, h = out.m, (out.m - 1) // 2
+        # t^-h (1 - t + t^m - t^(m+1)), whose middle terms cancel when m = 1
+        want = [(-h, 1), (1 - h, -1), (m - h, 1), (m + 1 - h, -1)] if m > 1 else [(0, 1), (2, -1)]
+        if shifted != want:
             raise InternalInconsistencyError(
                 f"W({n},{k}) classified {out.family.value} but V != phi_tilde({out.m})"
             )
-    elif 2 * lo + len(v) == 1 and v == v[::-1]:  # exponents lo..-lo, palindromic
+    elif shifted == [(2 - e, -c) for e, c in reversed(shifted)]:
         raise InternalInconsistencyError(
             f"W({n},{k}) classified non-symmetric but V is symmetric"
         )
+    _assert_numerator(n, k, d_exponents(n, k), shift)
     return out
 
 
@@ -355,9 +368,10 @@ def mersenne_knot(p: int) -> MersenneWitness:
 
     Works because N = 2*(2^((p-1)/2))^2 - 1 = g(k+1) with
     k = 2^((p-1)/2) - 1, putting N in the image of g.  V has N terms, so p
-    is rejected before anything is built when N exceeds MAX_TERMS.  V's
-    coefficient list is compared with Phi~_{2N}'s alternating list, which
-    is Phi^sym_{2N} for prime N; no Phi_{2N} is built.
+    is rejected when N exceeds MAX_TERMS.  classify_symmetry proves
+    V = Phi~_{2N} on the closed form's six-term numerator in O(1), and
+    Phi~_{2N} is Phi^sym_{2N} for prime N; neither V's list nor Phi_{2N}
+    is built.
     """
     if p <= 2 or p % 2 == 0:
         raise ValueError("p must be an odd prime exponent > 2")
@@ -370,7 +384,7 @@ def mersenne_knot(p: int) -> MersenneWitness:
     if not isprime(order):
         raise ValueError(f"2^{p} - 1 = {order} is not prime")
     k = 2 ** ((p - 1) // 2) - 1
-    # classify_symmetry proves V == phi_tilde(g(k + 1)) on V's list, and for
+    # classify_symmetry proves V == phi_tilde(g(k + 1)) on N's terms, and for
     # the odd prime N, phi_tilde(N) = Phi^sym_{2N}: Phi_{2N}(x) = Phi_N(-x)
     if classify_symmetry(2 * k, k).m != order:
         raise InternalInconsistencyError(

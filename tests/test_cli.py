@@ -292,22 +292,23 @@ class TestMersenneCommand:
 
     def test_over_budget_exits_1(self, capsys, monkeypatch):
         def refuse(n, k):
-            raise AssertionError(f"_jones_dense({n}, {k}) was called")
+            raise AssertionError(f"_numerator({n}, {k}) was called")
 
-        monkeypatch.setattr(cyclojones.wnk, "_jones_dense", refuse)
+        monkeypatch.setattr(cyclojones.wnk, "_numerator", refuse)
         code, out, err = run(capsys, "mersenne", "-p", "31")
         assert code == 1 and not out
         assert "2^31 - 1 terms" in err and "budget" in err
 
     def test_planted_coefficient_exits_2(self, capsys, monkeypatch):
-        true_jones = cyclojones.wnk._jones_dense
+        true_numerator = cyclojones.wnk._numerator
 
         def flipped(n, k):
-            lo, v = true_jones(n, k)
-            v[0] = -v[0]
-            return lo, v
+            terms, shift = true_numerator(n, k)
+            e, c = terms[0]
+            terms[0] = e, -c
+            return terms, shift
 
-        monkeypatch.setattr(cyclojones.wnk, "_jones_dense", flipped)
+        monkeypatch.setattr(cyclojones.wnk, "_numerator", flipped)
         code, out, err = run(capsys, "mersenne", "-p", "5")
         assert code == 2 and not out
         assert "W(6,3)" in err

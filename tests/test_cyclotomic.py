@@ -431,6 +431,24 @@ class TestNumericMahler:
         if not iterated:
             assert mahler_measure(p) == _qr_measure(coeffs)
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            jones_wnk(32, 16),
+            parse_poly("7"),
+            parse_poly("t^2 - t - 1"),
+            parse_poly("t^3 - 2"),
+            jones_wnk(28, 4),
+            _power("t^4 - 2", 20),
+        ],
+        ids=[
+            "exact", "constant", "np.roots t^2-t-1", "np.roots t^3-2",
+            "Aberth W(28,4)", "set-check fallback (t^4-2)^20",
+        ],
+    )
+    def test_returns_a_builtin_float(self, p):
+        assert type(mahler_measure(p)) is float
+
     def test_step_cap_falls_back_to_np_roots(self, monkeypatch):
         monkeypatch.setattr(cyclojones.cyclotomic, "_ABERTH_STEPS", 2)
         v = jones_wnk(28, 4)

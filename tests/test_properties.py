@@ -7,11 +7,20 @@ the costly side, so its property runs fewer examples.
 from hypothesis import given, settings, strategies as st
 
 from cyclojones.bracket import bracket_to_jones, bracket_wnk, jones_to_bracket
+from cyclojones.cyclotomic import _alternating
 from cyclojones.laurent import parse_poly, poly_from_json, poly_to_json, print_poly
 from cyclojones.obstructions import special_value_check
-from cyclojones.wnk import jones_wnk
+from cyclojones.wnk import _jones_dense, classify_symmetry, jones_wnk
 
 members = st.tuples(st.integers(-12, 12), st.integers(0, 6))
+
+# half the draws land on column k's quadruplet members k-1, k, 2k, 2k+1
+wide_members = st.integers(0, 300).flatmap(
+    lambda k: st.tuples(
+        st.one_of(st.integers(-2000, 2000), st.sampled_from([k - 1, k, 2 * k, 2 * k + 1])),
+        st.just(k),
+    )
+)
 
 
 @settings(max_examples=40, deadline=None)
@@ -34,3 +43,18 @@ def test_text_and_json_round_trips(member):
     v = jones_wnk(*member)
     assert parse_poly(print_poly(v)) == v
     assert poly_from_json(poly_to_json(v)) == v
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_members)
+def test_classification_matches_the_dense_list(member):
+    # the O(1) proof on N's terms against V's dense list, up to ~6 * 10^5 terms
+    n, k = member
+    cls = classify_symmetry(n, k)
+    lo, v = _jones_dense(n, k)
+    if k == 0:
+        assert not cls.symmetric
+    else:
+        assert cls.symmetric == (2 * lo + len(v) == 1 and v == v[::-1])
+    if cls.symmetric:
+        assert (lo, v) == _alternating(cls.m)

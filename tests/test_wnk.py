@@ -23,6 +23,12 @@ from cyclojones.wnk import (
 from sympy import divisors
 
 
+def dense_symmetric(n, k):
+    """Whether V_W(n,k) = V(1/t), read from its dense list: exponents lo..-lo, palindromic."""
+    lo, v = _jones_dense(n, k)
+    return 2 * lo + len(v) == 1 and v == v[::-1]
+
+
 class TestDPolynomial:
     def test_0_1(self):
         assert d_polynomial(0, 1) == parse_poly("t^2 - 1")
@@ -122,7 +128,7 @@ class TestClassifySymmetry:
                     assert jones_wnk(n, k) == phi_tilde(cls.m)
 
     def test_builds_no_cyclotomic_polynomial(self, monkeypatch):
-        # V is compared with phi_tilde(m)'s alternating list, not with a product
+        # V is proved phi_tilde(m) on N's terms, not compared with a product
         phi.cache_clear()
         phi_tilde.cache_clear()
 
@@ -136,11 +142,44 @@ class TestClassifySymmetry:
         assert phi.cache_info().currsize == 0
         assert phi_tilde.cache_info().currsize == 0
 
+    def test_builds_no_list(self, monkeypatch):
+        # both halves of the proof read N's terms: V's dense list is never built
+        def refuse(*args):
+            raise AssertionError("the closed form's list was built")
+
+        monkeypatch.setattr(cyclojones.wnk, "_closed_form", refuse)
+        for k in range(1, 31):
+            for n in range(-5, 70):
+                classify_symmetry(n, k)
+        assert mersenne_knot(19).order == 524287
+
     def test_planted_symmetric_non_member_raises(self, monkeypatch):
-        # the equivalence's other half: a non-member's V must not be symmetric
-        monkeypatch.setattr(cyclojones.wnk, "_jones_dense", lambda n, k: _alternating(5))
+        # the equivalence's other half: a non-member's V must not be symmetric.
+        # W(1,2)'s exponents raised by one, under W(2,4)'s prefactor t^-3, make
+        # t^-2 N(1,2) = (1 - t^2) phi_tilde(5), and keep N's theorems
+        raised = tuple(e + 1 for e in cyclojones.wnk.d_exponents(1, 2))
+        monkeypatch.setattr(cyclojones.wnk, "d_exponents", lambda n, k: raised)
         with pytest.raises(InternalInconsistencyError, match=r"W\(2,4\).*V is symmetric"):
             classify_symmetry(2, 4)
+
+    def test_planted_indivisible_numerator_raises(self, monkeypatch):
+        # -t^7 + t^4 + t^3 - t^2 + t - 1 is not divisible by 1 - t^2, so it
+        # cannot stand in for a non-member's V: N's theorems are asserted
+        monkeypatch.setattr(cyclojones.wnk, "d_exponents", lambda n, k: (7, 4, 3, 2, 1, 0))
+        with pytest.raises(InternalInconsistencyError, match=r"W\(2,4\): numerator N\(1\)=0, N\(-1\)=2"):
+            classify_symmetry(2, 4)
+
+    def test_agrees_with_the_dense_reference_on_a_grid(self):
+        # every cell of n -60..79, k 1..29 against V's dense list: 116 are symmetric
+        symmetric = 0
+        for k in range(1, 30):
+            for n in range(-60, 80):
+                cls = classify_symmetry(n, k)
+                assert cls.symmetric == dense_symmetric(n, k), (n, k)
+                if cls.symmetric:
+                    symmetric += 1
+                    assert _jones_dense(n, k) == _alternating(cls.m), (n, k)
+        assert symmetric == 116
 
     def test_symmetric_cases_factor_cyclotomically(self):
         for k in range(1, 7):
@@ -227,30 +266,30 @@ class TestGenerateTable:
 
     @pytest.mark.parametrize("k_max", [1, 3, 6])
     def test_rows_take_the_proved_phi_tilde(self, monkeypatch, k_max):
-        # classify_symmetry's one closed-form list per row proves V == phi_tilde(m)
+        # classify_symmetry's one numerator proof per row proves V == phi_tilde(m)
         calls = 0
-        original = cyclojones.wnk._jones_dense
+        original = cyclojones.wnk._numerator
 
         def counting(n, k):
             nonlocal calls
             calls += 1
             return original(n, k)
 
-        monkeypatch.setattr(cyclojones.wnk, "_jones_dense", counting)
+        monkeypatch.setattr(cyclojones.wnk, "_numerator", counting)
         rows = generate_table(k_max)
         assert calls == 4 * k_max
         for i in range(0, len(rows), 4):
             assert rows[i + 2].polynomial is rows[i + 3].polynomial
 
     def test_unproved_phi_tilde_raises(self, monkeypatch):
-        # a V that is not phi_tilde(m)'s alternating list fails the member's check
-        original = cyclojones.wnk._jones_dense
+        # V shifted by t, t^(s+1) N / (1 - t^2), is not phi_tilde(m): the member's check fails
+        original = cyclojones.wnk._numerator
 
         def shifted(n, k):
-            lo, v = original(n, k)
-            return lo + 1, v
+            terms, shift = original(n, k)
+            return terms, shift + 1
 
-        monkeypatch.setattr(cyclojones.wnk, "_jones_dense", shifted)
+        monkeypatch.setattr(cyclojones.wnk, "_numerator", shifted)
         with pytest.raises(InternalInconsistencyError, match=r"V != phi_tilde"):
             classify_symmetry(8, 4)
         with pytest.raises(InternalInconsistencyError, match=r"V != phi_tilde"):
@@ -356,9 +395,9 @@ class TestMersenne:
 
     def test_over_budget_rejected_before_building(self, monkeypatch):
         def refuse(n, k):
-            raise AssertionError(f"_jones_dense({n}, {k}) was called")
+            raise AssertionError(f"_numerator({n}, {k}) was called")
 
-        monkeypatch.setattr(cyclojones.wnk, "_jones_dense", refuse)
+        monkeypatch.setattr(cyclojones.wnk, "_numerator", refuse)
         with pytest.raises(ValueError, match="budget"):
             mersenne_knot(31)  # 2^31 - 1 terms
 
@@ -370,21 +409,31 @@ class TestMersenne:
         def reached(n, k):
             raise Reached
 
-        monkeypatch.setattr(cyclojones.wnk, "_jones_dense", reached)
+        monkeypatch.setattr(cyclojones.wnk, "_numerator", reached)
         with pytest.raises(Reached):
             mersenne_knot(p)
 
     def test_planted_coefficient_raises(self, monkeypatch):
-        original = cyclojones.wnk._jones_dense
+        # one of N's terms with its sign flipped
+        original = cyclojones.wnk._numerator
 
         def flipped(n, k):
-            lo, v = original(n, k)
-            v[len(v) // 2] = -v[len(v) // 2]
-            return lo, v
+            terms, shift = original(n, k)
+            e, c = terms[len(terms) // 2]
+            terms[len(terms) // 2] = e, -c
+            return terms, shift
 
-        monkeypatch.setattr(cyclojones.wnk, "_jones_dense", flipped)
+        monkeypatch.setattr(cyclojones.wnk, "_numerator", flipped)
         with pytest.raises(InternalInconsistencyError, match=r"W\(6,3\)"):
             mersenne_knot(5)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 19])
+    def test_agrees_with_the_dense_reference(self, p):
+        # both witnesses' V, built densely, are Phi~_{2N}'s alternating list
+        witness = mersenne_knot(p)
+        assert witness.order == 2**p - 1
+        for n, k in witness.knots:
+            assert _jones_dense(n, k) == _alternating(witness.order)
 
     @pytest.mark.parametrize("order", [7, 31, 127, 8191])
     def test_alternating_list_is_phi_sym(self, order):
