@@ -1,13 +1,26 @@
-"""Exact sparse Laurent polynomials over the integers.
+"""Exact Laurent polynomials over the integers, held sparse or dense.
 
 This is the universal value type of the package: Jones polynomials,
 Kauffman brackets and cyclotomic polynomials are all instances.  A
-polynomial is a sparse map from (possibly negative) exponents to nonzero
+polynomial is a map from (possibly negative) exponents to nonzero
 arbitrary-precision integer coefficients, plus a variable tag ("t" or
 "A").  Arithmetic is tag-agnostic but refuses to mix tags, so t-world and
 A-world values cannot be combined silently.
 
 Values are immutable; every operation returns a fresh polynomial.
+
+A polynomial holds its terms in one of two forms.  The constructor,
+`parse_poly`, `poly_from_json`, the sums, scalings and substitutions, and
+`_from_dense` with a step other than 1 keep a sparse dict
+{exponent: coefficient}, so a sparse input of huge span stays
+O(terms).  `_from_dense` with step 1 (`jones_wnk`, `phi`, `phi_tilde`,
+`divide_exact` and the Kronecker products) keeps the dense form: the
+lowest exponent and the coefficient tuple with its zero ends trimmed.  A
+dense-built polynomial makes its dict only when a method that needs one
+first asks for it.  `items`, `len`, `min_exp`, `max_exp`, `==` between
+two dense-built polynomials, `value_and_derivative_at_one`, `_dense`,
+`_fold` and `poly_to_json` read the dense form directly, at C speed.  No
+dense form is ever made from a dict.
 
 The module holds the package's one long division, `_long_division` on
 dense coefficient lists (`_dense` and `_from_dense` convert; `_fold`
@@ -54,9 +67,12 @@ TermsLike = Union[Mapping[int, int], Iterable[tuple[int, int]], None]
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial with integer coefficients."""
+    """Laurent polynomial with integer coefficients."""
 
-    __slots__ = ("_terms", "_variable")
+    # _terms is the exponent dict; a dense-built polynomial leaves it unset
+    # until __getattr__ fills it.  _cs is the trimmed coefficient tuple of
+    # a dense-built polynomial (None otherwise), _lo its lowest exponent.
+    __slots__ = ("_terms", "_variable", "_cs", "_lo")
 
     def __init__(self, terms: TermsLike = None, variable: str = "t"):
         if variable not in VARIABLES:
@@ -72,6 +88,15 @@ class LaurentPoly:
                     del data[e]
         self._terms = data
         self._variable = variable
+        self._cs = None
+
+    def __getattr__(self, name: str) -> dict[int, int]:
+        # only reached for an unset slot: a dense-built polynomial's dict
+        if name != "_terms" or self._cs is None:
+            raise AttributeError(name)
+        cs = self._cs
+        self._terms = terms = dict(compress(zip(count(self._lo), cs), cs))
+        return terms
 
     # -- basic structure ---------------------------------------------------
 
@@ -81,15 +106,22 @@ class LaurentPoly:
 
     def items(self) -> list[tuple[int, int]]:
         """Terms as (exponent, coefficient) pairs, exponents ascending."""
+        cs = self._cs
+        if cs is not None:
+            return list(compress(zip(count(self._lo), cs), cs))
         return sorted(self._terms.items())
 
     def coeff(self, e: int) -> int:
         return self._terms.get(e, 0)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        # a dense form is never empty
+        return self._cs is not None or bool(self._terms)
 
     def __len__(self) -> int:
+        cs = self._cs
+        if cs is not None:
+            return len(cs) - cs.count(0)
         return len(self._terms)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
@@ -97,12 +129,16 @@ class LaurentPoly:
 
     @property
     def min_exp(self) -> int:
+        if self._cs is not None:
+            return self._lo
         if not self._terms:
             raise ValueError("zero polynomial has no exponents")
         return min(self._terms)
 
     @property
     def max_exp(self) -> int:
+        if self._cs is not None:
+            return self._lo + len(self._cs) - 1
         if not self._terms:
             raise ValueError("zero polynomial has no exponents")
         return max(self._terms)
@@ -116,7 +152,11 @@ class LaurentPoly:
             other = LaurentPoly({0: other}, self._variable)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._variable == other._variable and self._terms == other._terms
+        if self._variable != other._variable:
+            return False
+        if self._cs is not None and other._cs is not None:
+            return self._lo == other._lo and self._cs == other._cs
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
         # constants equal their int, so they must hash like it
@@ -150,6 +190,7 @@ class LaurentPoly:
         out = object.__new__(cls)
         out._terms = terms
         out._variable = variable
+        out._cs = None
         return out
 
     # -- ring operations ---------------------------------------------------
@@ -190,17 +231,15 @@ class LaurentPoly:
     def __mul__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
         other = self._coerce(other)
         # iterate the smaller factor on the outside
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
+        a, b = (self, other) if len(self) <= len(other) else (other, self)
         # most products are small and stop at the first comparison
         if len(a) > _KRONECKER_RATIO and len(a) * len(b) > _KRONECKER_RATIO * (
-            max(a) - min(a) + max(b) - min(b) + 2
+            a.span() + b.span() + 2
         ):
             return _kronecker_product(self, other)
         data: dict[int, int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
+        for e1, c1 in a._terms.items():
+            for e2, c2 in b._terms.items():
                 e = e1 + e2
                 c = data.get(e, 0) + c1 * c2
                 if c:
@@ -279,6 +318,12 @@ class LaurentPoly:
 
     def value_and_derivative_at_one(self) -> tuple[int, int]:
         """(P(1), P'(1)) by exact summation."""
+        cs = self._cs
+        if cs is not None:
+            # sum_j (lo + j) c_j = (lo - 1) P(1) + sum_j (j + 1) c_j, and the
+            # last sum is the sum of the suffix sums
+            value = sum(cs)
+            return value, (self._lo - 1) * value + sum(accumulate(reversed(cs)))
         value = sum(self._terms.values())
         deriv = sum(map(mul, self._terms, self._terms.values()))
         return value, deriv
@@ -299,7 +344,12 @@ class LaurentPoly:
 
 
 def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
-    """(lowest exponent, ascending coefficients) of a nonzero polynomial."""
+    """(lowest exponent, ascending coefficients) of a nonzero polynomial.
+
+    The list is fresh: the caller may change it.
+    """
+    if p._cs is not None:
+        return p._lo, list(p._cs)
     lo = p.min_exp
     out = [0] * (p.max_exp - lo + 1)
     for e, c in p._terms.items():
@@ -310,8 +360,23 @@ def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
 def _from_dense(
     lo: int, coeffs: list[int], variable: str = "t", step: int = 1
 ) -> LaurentPoly:
-    """The polynomial sum_j coeffs[j] x^(lo + step*j)."""
-    return LaurentPoly._new(dict(compress(zip(count(lo, step), coeffs), coeffs)), variable)
+    """The polynomial sum_j coeffs[j] x^(lo + step*j).
+
+    With step 1 the polynomial keeps coeffs, its zero ends trimmed, as its
+    dense form; other steps, and an all-zero list, give a dict.
+    """
+    if step != 1 or not any(coeffs):
+        return LaurentPoly._new(dict(compress(zip(count(lo, step), coeffs), coeffs)), variable)
+    # first and last nonzero entries, found at C speed
+    first = next(compress(count(), coeffs))
+    last = len(coeffs) - next(compress(count(1), reversed(coeffs)))
+    if first or last < len(coeffs) - 1:
+        coeffs = coeffs[first:last + 1]
+    out = object.__new__(LaurentPoly)
+    out._variable = variable
+    out._lo = lo + first
+    out._cs = tuple(coeffs)
+    return out
 
 
 # Kronecker takes a product with more than this many term pairs per slot of
@@ -358,11 +423,25 @@ def _fold(p: LaurentPoly, n: int) -> list[int]:
     """Ascending coefficients of P modulo x^n - 1, of length n.
 
     x^n == 1 there, so every exponent (negative ones too) reduces mod n.
+    A dense form is summed a slice per class when there are few classes
+    and a block of n at a time otherwise, then rotated by its lowest exponent.
     """
-    out = [0] * n
-    for e, c in p._terms.items():
-        out[e % n] += c
-    return out
+    cs = p._cs
+    if cs is None:
+        out = [0] * n
+        for e, c in p._terms.items():
+            out[e % n] += c
+        return out
+    if n * n <= len(cs):
+        sums = [sum(cs[r::n]) for r in range(n)]
+    else:
+        sums = list(cs[:n]) + [0] * (n - len(cs))
+        for i in range(n, len(cs), n):
+            block = cs[i:i + n]
+            sums[:len(block)] = map(add, sums, block)
+    # sums[r] belongs to the exponent lo + r
+    s = p._lo % n
+    return sums[n - s:] + sums[:n - s]
 
 
 # A stride division takes one accumulate per residue class once the classes
@@ -441,7 +520,7 @@ def print_poly(p: LaurentPoly) -> str:
     if not p:
         return "0"
     var = p.variable
-    constant_a = var == "A" and p._terms.keys() == {0}
+    constant_a = var == "A" and p.min_exp == 0 == p.max_exp
     pieces: list[str] = []
     for i, (e, c) in enumerate(p.items()):
         mag = abs(c)
@@ -498,7 +577,13 @@ def poly_to_json(p: LaurentPoly) -> dict:
     """JSON form: coefficients as decimal strings, exponents ascending."""
     # (e, "c") tuples, which json writes as [e, "c"]: the collector untracks a tuple
     # of atoms, while the ~10^4 lists of a large V would keep full collections busy
-    return {"variable": p.variable, "terms": [(e, str(c)) for e, c in p.items()]}
+    cs = p._cs
+    if cs is None:
+        return {"variable": p.variable, "terms": [(e, str(c)) for e, c in p.items()]}
+    # one str per distinct coefficient: a V's are all +-1
+    text = {c: str(c) for c in set(cs)}
+    terms = list(compress(zip(count(p._lo), map(text.__getitem__, cs)), cs))
+    return {"variable": p.variable, "terms": terms}
 
 
 def poly_from_json(obj: dict) -> LaurentPoly:

@@ -208,8 +208,8 @@ def _jones_dense(n: int, k: int) -> tuple[int, list[int]]:
     V(1) = 1, V'(1) = 0 are asserted on N's six terms by
     _assert_numerator, in O(1) on every call.  (n, k) whose numerator
     spans more than MAX_TERMS exponents is refused before anything dense
-    is built.  jones_wnk decodes it, and the tests take it as the dense
-    reference for classify_symmetry's proof on N's terms.
+    is built.  jones_wnk keeps it as V's dense form, and the tests take it
+    as the dense reference for classify_symmetry's proof on N's terms.
     """
     terms, shift = _numerator(n, k)
     lo, s = _closed_form(terms, shift, "W", n, k)
@@ -218,7 +218,7 @@ def _jones_dense(n: int, k: int) -> tuple[int, list[int]]:
 
 
 def jones_wnk(n: int, k: int) -> LaurentPoly:
-    """Jones polynomial of W(n,k) by the closed form: _jones_dense's list, decoded.
+    """Jones polynomial of W(n,k) by the closed form, holding _jones_dense's list.
 
     Every call asserts the exact division by t^2 - 1 and V(1) = 1,
     V'(1) = 0, and an (n, k) over the term budget is refused before
@@ -369,9 +369,9 @@ def mersenne_knot(p: int) -> MersenneWitness:
     Works because N = 2*(2^((p-1)/2))^2 - 1 = g(k+1) with
     k = 2^((p-1)/2) - 1, putting N in the image of g.  V has N terms, so p
     is rejected when N exceeds MAX_TERMS.  classify_symmetry proves
-    V = Phi~_{2N} on the closed form's six-term numerator in O(1), and
-    Phi~_{2N} is Phi^sym_{2N} for prime N; neither V's list nor Phi_{2N}
-    is built.
+    V = Phi~_{2N} for both witnesses, W(2k,k) and W(2k+1,k), on the closed
+    form's six-term numerator in O(1), and Phi~_{2N} is Phi^sym_{2N} for
+    prime N; neither V's list nor Phi_{2N} is built.
     """
     if p <= 2 or p % 2 == 0:
         raise ValueError("p must be an odd prime exponent > 2")
@@ -384,12 +384,10 @@ def mersenne_knot(p: int) -> MersenneWitness:
     if not isprime(order):
         raise ValueError(f"2^{p} - 1 = {order} is not prime")
     k = 2 ** ((p - 1) // 2) - 1
+    knots = (FamilyParams(2 * k, k), FamilyParams(2 * k + 1, k))
     # classify_symmetry proves V == phi_tilde(g(k + 1)) on N's terms, and for
     # the odd prime N, phi_tilde(N) = Phi^sym_{2N}: Phi_{2N}(x) = Phi_N(-x)
-    if classify_symmetry(2 * k, k).m != order:
-        raise InternalInconsistencyError(
-            f"V_W({2 * k},{k}) != Phi_sym_{2 * order}"
-        )
-    return MersenneWitness(
-        p, order, k, (FamilyParams(2 * k, k), FamilyParams(2 * k + 1, k))
-    )
+    for n, _ in knots:
+        if classify_symmetry(n, k).m != order:
+            raise InternalInconsistencyError(f"V_W({n},{k}) != Phi_sym_{2 * order}")
+    return MersenneWitness(p, order, k, knots)

@@ -313,6 +313,21 @@ class TestMersenneCommand:
         assert code == 2 and not out
         assert "W(6,3)" in err
 
+    def test_planted_fault_at_the_second_witness_exits_2(self, capsys, monkeypatch):
+        true_numerator = cyclojones.wnk._numerator
+
+        def flipped(n, k):
+            terms, shift = true_numerator(n, k)
+            if (n, k) == (7, 3):
+                e, c = terms[0]
+                terms[0] = e, -c
+            return terms, shift
+
+        monkeypatch.setattr(cyclojones.wnk, "_numerator", flipped)
+        code, out, err = run(capsys, "mersenne", "-p", "5")
+        assert code == 2 and not out
+        assert "W(7,3)" in err
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "mersenne", "-p", "3", "--format", "json")
         assert code == 0

@@ -1,6 +1,7 @@
 import cmath
 import gc
 import json
+import tracemalloc
 
 import pytest
 import sympy
@@ -8,10 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from cyclojones import laurent
 from cyclojones.cyclotomic import euler_totient, residue
+from cyclojones.obstructions import special_value_check
 from cyclojones.errors import InexactDivisionError, ParseError, TagError
 from cyclojones.laurent import (
     VARIABLES,
     LaurentPoly,
+    _dense,
+    _fold,
+    _from_dense,
     parse_poly,
     poly_from_json,
     poly_to_json,
@@ -481,6 +486,132 @@ class TestTextAndJson:
         assert json.dumps(obj) == (
             '{"variable": "t", "terms": [[-2, "1"], [-1, "-1"], [0, "1"], [1, "-1"], [2, "1"]]}'
         )
-        # a large V's terms must not stay in the collector's lists
+        # a large V's terms must not stay in the collector's lists, in either form
+        dense_obj = poly_to_json(_from_dense(-2, [1, -1, 1, -1, 1]))
+        assert json.dumps(dense_obj) == json.dumps(obj)
         gc.collect()
-        assert not any(map(gc.is_tracked, obj["terms"]))
+        assert not any(map(gc.is_tracked, obj["terms"] + dense_obj["terms"]))
+
+
+def has_dict(p):
+    """Whether p holds its exponent dict, read without building it."""
+    try:
+        LaurentPoly._terms.__get__(p)
+    except AttributeError:
+        return False
+    return True
+
+
+# small coefficients, zero often, or one of many distinct ones above 2^64
+dense_coeffs = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**64, 2**80),
+    st.integers(-(2**80), -(2**64)),
+)
+
+
+@st.composite
+def dense_lists(draw):
+    """(lo, coeffs) with zero runs at either end and inside, lo of either sign."""
+    lo = draw(st.integers(-60, 60))
+    body = draw(st.lists(dense_coeffs, max_size=80))
+    pad_lo, pad_hi = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return lo, [0] * pad_lo + body + [0] * pad_hi
+
+
+def both_forms(lo, coeffs):
+    """The dense-built polynomial and the dict-built one with the same terms."""
+    return _from_dense(lo, list(coeffs)), LaurentPoly(
+        {lo + j: c for j, c in enumerate(coeffs) if c}
+    )
+
+
+class TestDenseForm:
+    @settings(max_examples=150, deadline=None)
+    @given(dense_lists())
+    @example((0, []))
+    @example((-7, [0, 0, 0]))
+    @example((3, [0, 2**70, 0, -(2**70) - 1, 0]))
+    def test_readers_agree(self, lo_coeffs):
+        dense, sparse = both_forms(*lo_coeffs)
+        assert dense.items() == sparse.items()
+        assert len(dense) == len(sparse) and bool(dense) == bool(sparse)
+        if sparse:
+            assert (dense.min_exp, dense.max_exp, dense.span()) == (
+                sparse.min_exp, sparse.max_exp, sparse.span()
+            )
+            assert _dense(dense) == _dense(sparse)
+        else:
+            # an all-zero list gives the zero polynomial
+            assert dense == LaurentPoly.zero() and not dense
+            with pytest.raises(ValueError):
+                dense.min_exp
+        for n in range(1, 31):
+            assert _fold(dense, n) == _fold(sparse, n)
+        for n in range(1, 13):
+            assert residue(dense, n) == residue(sparse, n)
+        assert dense.value_and_derivative_at_one() == sparse.value_and_derivative_at_one()
+        assert json.dumps(poly_to_json(dense)) == json.dumps(poly_to_json(sparse))
+        assert print_poly(dense) == print_poly(sparse)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dense_lists(), dense_lists())
+    def test_ring_operations_agree(self, first, second):
+        p, p_sparse = both_forms(*first)
+        q, q_sparse = both_forms(*second)
+        assert p == p_sparse and p_sparse == p
+        assert hash(p) == hash(p_sparse)
+        assert (p == q) == (p_sparse == q_sparse)
+        assert (p + q).items() == (p_sparse + q_sparse).items()
+        product = p * q
+        assert product.items() == (p_sparse * q_sparse).items()
+        if q:
+            assert product.divide_exact(q) == p_sparse
+            assert (p_sparse * q_sparse).divide_exact(q_sparse) == p
+            try:
+                expected = p_sparse.divide_exact(q_sparse)
+            except InexactDivisionError:
+                with pytest.raises(InexactDivisionError):
+                    p.divide_exact(q)
+            else:
+                assert p.divide_exact(q) == expected
+
+    def test_readers_build_no_dict(self):
+        v = _from_dense(-3, [0, 1, -1, 0, 1, -1, 1, 0])
+        v.items(), len(v), bool(v), v.span(), _dense(v), _fold(v, 12)
+        v.value_and_derivative_at_one(), poly_to_json(v), special_value_check(v)
+        assert v == _from_dense(-2, [1, -1, 0, 1, -1, 1])
+        assert not has_dict(v)
+        assert v.coeff(1) == 1 and has_dict(v)
+
+    def test_dense_copy_is_fresh(self):
+        p = _from_dense(-2, [1, 0, -5, 7])
+        lo, coeffs = _dense(p)
+        coeffs[0] = 99
+        coeffs.append(3)
+        assert _dense(p) == (-2, [1, 0, -5, 7])
+        assert p.items() == [(-2, 1), (0, -5), (1, 7)]
+
+    def test_other_steps_keep_a_dict(self):
+        p = _from_dense(1, [1, 0, -1], "A", 4)
+        assert p._cs is None and has_dict(p)
+        assert p == LaurentPoly({1: 1, 9: -1}, "A")
+
+    def test_wide_sparse_input_stays_sparse(self):
+        p = LaurentPoly({10**12: 1, 0: -1, -(10**12): 1})
+        residue(p, 7)  # the first call fills the cache of phi(7)
+        tracemalloc.start()
+        try:
+            report = special_value_check(p)
+            folded = residue(p, 7)
+            obj = poly_to_json(p)
+            text = print_poly(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p._cs is None
+        assert peak < 100_000
+        assert (report.at_one, report.derivative_at_one) == (1, 0)
+        assert folded == residue(LaurentPoly({10**12 % 7: 1, 0: -1, -(10**12) % 7: 1}), 7)
+        assert obj["terms"] == [(-(10**12), "1"), (0, "-1"), (10**12, "1")]
+        assert text == "t^-1000000000000 - 1 + t^1000000000000"

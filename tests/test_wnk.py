@@ -427,6 +427,21 @@ class TestMersenne:
         with pytest.raises(InternalInconsistencyError, match=r"W\(6,3\)"):
             mersenne_knot(5)
 
+    def test_planted_fault_at_the_second_witness_raises(self, monkeypatch):
+        # N's terms flipped only at W(2k+1, k) = W(7,3): W(6,3) still proves
+        original = cyclojones.wnk._numerator
+
+        def flipped(n, k):
+            terms, shift = original(n, k)
+            if (n, k) == (7, 3):
+                e, c = terms[0]
+                terms[0] = e, -c
+            return terms, shift
+
+        monkeypatch.setattr(cyclojones.wnk, "_numerator", flipped)
+        with pytest.raises(InternalInconsistencyError, match=r"W\(7,3\)"):
+            mersenne_knot(5)
+
     @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 19])
     def test_agrees_with_the_dense_reference(self, p):
         # both witnesses' V, built densely, are Phi~_{2N}'s alternating list
