@@ -9,16 +9,13 @@ A-world values cannot be combined silently.
 
 Values are immutable; every operation returns a fresh polynomial.
 
-A polynomial holds its terms in one of two forms.  The constructor,
-`parse_poly`, `poly_from_json`, the sums, scalings and substitutions, and
-`_from_dense` with a step other than 1 keep a sparse dict
-{exponent: coefficient}, so a sparse input of huge span stays
-O(terms).  `_from_dense` with step 1 (`jones_wnk`, `phi`, `phi_tilde`,
-`divide_exact` and the Kronecker products) keeps the dense form: the
-lowest exponent and the coefficient tuple with its zero ends trimmed.  A
-dense-built polynomial makes its dict only when a method that needs one
-first asks for it.  `items`, `len`, `min_exp`, `max_exp`, `==` between
-two dense-built polynomials, `value_and_derivative_at_one`, `_dense`,
+A polynomial holds its terms in one of two forms.  Whatever
+`_from_dense` builds with step 1 keeps the dense form: the lowest
+exponent and the coefficient tuple with its zero ends trimmed.  Every
+other polynomial holds a sparse dict {exponent: coefficient}, so a sparse
+input of huge span stays O(terms).  A dense-built polynomial makes its
+dict only when a method that needs one first asks for it.  `items`,
+`len`, `min_exp`, `max_exp`, `value_and_derivative_at_one`, `_dense`,
 `_fold` and `poly_to_json` read the dense form directly, at C speed.  No
 dense form is ever made from a dict.
 
@@ -152,11 +149,7 @@ class LaurentPoly:
             other = LaurentPoly({0: other}, self._variable)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self._variable != other._variable:
-            return False
-        if self._cs is not None and other._cs is not None:
-            return self._lo == other._lo and self._cs == other._cs
-        return self._terms == other._terms
+        return self._variable == other._variable and self._terms == other._terms
 
     def __hash__(self) -> int:
         # constants equal their int, so they must hash like it
@@ -423,8 +416,8 @@ def _fold(p: LaurentPoly, n: int) -> list[int]:
     """Ascending coefficients of P modulo x^n - 1, of length n.
 
     x^n == 1 there, so every exponent (negative ones too) reduces mod n.
-    A dense form is summed a slice per class when there are few classes
-    and a block of n at a time otherwise, then rotated by its lowest exponent.
+    A dense form is summed one slice per class, then rotated by its lowest
+    exponent.
     """
     cs = p._cs
     if cs is None:
@@ -432,13 +425,7 @@ def _fold(p: LaurentPoly, n: int) -> list[int]:
         for e, c in p._terms.items():
             out[e % n] += c
         return out
-    if n * n <= len(cs):
-        sums = [sum(cs[r::n]) for r in range(n)]
-    else:
-        sums = list(cs[:n]) + [0] * (n - len(cs))
-        for i in range(n, len(cs), n):
-            block = cs[i:i + n]
-            sums[:len(block)] = map(add, sums, block)
+    sums = [sum(cs[r::n]) for r in range(min(n, len(cs)))] + [0] * (n - len(cs))
     # sums[r] belongs to the exponent lo + r
     s = p._lo % n
     return sums[n - s:] + sums[:n - s]

@@ -580,9 +580,9 @@ class TestDenseForm:
         v = _from_dense(-3, [0, 1, -1, 0, 1, -1, 1, 0])
         v.items(), len(v), bool(v), v.span(), _dense(v), _fold(v, 12)
         v.value_and_derivative_at_one(), poly_to_json(v), special_value_check(v)
-        assert v == _from_dense(-2, [1, -1, 0, 1, -1, 1])
         assert not has_dict(v)
         assert v.coeff(1) == 1 and has_dict(v)
+        assert v == _from_dense(-2, [1, -1, 0, 1, -1, 1])
 
     def test_dense_copy_is_fresh(self):
         p = _from_dense(-2, [1, 0, -5, 7])
@@ -591,6 +591,15 @@ class TestDenseForm:
         coeffs.append(3)
         assert _dense(p) == (-2, [1, 0, -5, 7])
         assert p.items() == [(-2, 1), (0, -5), (1, 7)]
+
+    def test_which_builders_keep_the_dense_form(self):
+        from cyclojones.bracket import torus_jones
+        from cyclojones.cyclotomic import phi, phi_tilde
+
+        for p in (phi(15), phi_tilde(7), torus_jones(2, 5)):
+            assert p._cs is not None
+        for p in (phi(1), phi(12), parse_poly("t^-1 - 1 + t")):
+            assert p._cs is None
 
     def test_other_steps_keep_a_dict(self):
         p = _from_dense(1, [1, 0, -1], "A", 4)
