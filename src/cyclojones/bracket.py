@@ -128,7 +128,7 @@ def _torus_dense(p: int, q: int) -> tuple[int, list[int]]:
     if math.gcd(p, q) != 1:
         raise ValueError(f"({p},{q}) is not coprime")
     numerator = [(0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)]
-    return _closed_form(_merged(numerator, "T", p, q), (p - 1) * (q - 1) // 2, "T", p, q)
+    return _closed_form(_merged(numerator), (p - 1) * (q - 1) // 2, "T", p, q)
 
 
 def torus_jones(p: int, q: int) -> LaurentPoly:

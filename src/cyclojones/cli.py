@@ -100,7 +100,7 @@ def cmd_classify(k_max, n_range, fmt):
         for k in range(1, k_max + 1):
             yield from ((n, k) for n in (ns or wnk.quadruplet(k)))
 
-    for n, k in members():  # jones_wnk's span rule, before any member is classified
+    for n, k in members():  # the request budget: jones_wnk's span rule on every member first
         wnk._check_span(n, k)
     rows = [(n, k, wnk.classify_symmetry(n, k)) for n, k in members()]
     if fmt == "json":

@@ -52,10 +52,11 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import InexactDivisionError, ParseError, TagError
 
-# Term budget for every builder the CLI reaches: jones_wnk refuses a
-# closed-form numerator of wider span, mersenne_knot a Phi^sym_{2N} of more
-# terms (N = 2^p - 1), the bracket sweep larger levels, phi, phi_sym and
-# phi_tilde larger polynomials, and the obstruction lists a larger bound.
+# Term budget for every builder the CLI reaches: the closed forms refuse a
+# numerator of wider span, the bracket sweep larger levels, phi, phi_sym and
+# phi_tilde larger polynomials, generate_table a larger table, and the
+# obstruction lists a larger bound.  classify_symmetry and mersenne_knot build
+# nothing span-sized and need no budget.
 MAX_TERMS = 2**20
 
 VARIABLES = ("t", "A")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
-from .arith import isprime
+from .arith import PRIME_TEST_LIMIT, isprime
 from .cyclotomic import phi_tilde
 from .errors import InexactDivisionError, InternalInconsistencyError
 from .laurent import MAX_TERMS, LaurentPoly, _from_dense, _stride_div, poly_to_json
@@ -74,35 +74,37 @@ def d_exponents(n: int, k: int) -> tuple[int, ...]:
     )
 
 
+# N = -d: the signs of N's terms at d_exponents' six exponents
+_N_SIGNS = (1, -1, -1, 1, -1, 1)
+
+
 def d_polynomial(n: int, k: int) -> LaurentPoly:
     """The degree-heavy factor of the closed form, divisible by t^2 - 1."""
     _check_k(k)
-    return LaurentPoly(zip(d_exponents(n, k), (-1, 1, 1, -1, 1, -1)))
+    return LaurentPoly(zip(d_exponents(n, k), (-c for c in _N_SIGNS)))
 
 
-def _merged(
-    terms: Iterable[tuple[int, int]], knot: str, p: int, q: int
-) -> list[tuple[int, int]]:
-    """A nonzero sum's terms, ascending; ValueError if they span over MAX_TERMS exponents.
-
-    The message names the knot as knot(p,q), built only when raising.
-    """
+def _merged(terms: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """A nonzero sum's terms, ascending: equal exponents add, zeros drop, no budget."""
     merged: dict[int, int] = {}
     for e, c in terms:
         merged[e] = merged.get(e, 0) + c
-    out = sorted((e, c) for e, c in merged.items() if c)
-    span = out[-1][0] - out[0][0]
+    return sorted((e, c) for e, c in merged.items() if c)
+
+
+def _span_rule(merged: list[tuple[int, int]], knot: str, p: int, q: int) -> None:
+    """The span rule: ValueError naming knot(p,q) if merged spans over MAX_TERMS exponents."""
+    span = merged[-1][0] - merged[0][0]
     if span > MAX_TERMS:
         raise ValueError(
             f"{knot}({p},{q}): the closed form spans {span} exponents, over the "
             f"budget of {MAX_TERMS} terms"
         )
-    return out
 
 
 def _check_span(n: int, k: int) -> None:
-    """ValueError when d_polynomial(n, k) spans more than MAX_TERMS exponents."""
-    _merged(zip(d_exponents(n, k), (-1, 1, 1, -1, 1, -1)), "W", n, k)
+    """ValueError when V_W(n,k)'s numerator, so d_polynomial(n, k), spans over MAX_TERMS."""
+    _span_rule(_numerator(n, k)[0], "W", n, k)
 
 
 def _closed_form(
@@ -110,9 +112,10 @@ def _closed_form(
 ) -> tuple[int, list[int]]:
     """t^shift * (sum of _merged's terms) / (1 - t^2) as (lowest exponent, coefficients).
 
-    Every closed form is divisible by a theorem, so a remainder raises
-    InternalInconsistencyError naming knot(p,q).
+    The span rule is applied before the list is allocated.  Every closed form
+    is divisible by a theorem, so a remainder raises InternalInconsistencyError.
     """
+    _span_rule(merged, knot, p, q)
     lo = merged[0][0]
     s = [0] * (merged[-1][0] - lo + 1)
     for e, c in merged:
@@ -126,10 +129,6 @@ def _closed_form(
     return lo + shift, s
 
 
-# N = -d: the signs of N's terms at d_exponents' six exponents
-_N_SIGNS = (1, -1, -1, 1, -1, 1)
-
-
 def _shift(n: int, k: int) -> int:
     """The exponent s of V_W(n,k) = t^s * N / (1 - t^2)."""
     return n * (n - 1) // 2 + k * (k - 1) - 2 * n * k
@@ -139,10 +138,10 @@ def _numerator(n: int, k: int) -> tuple[list[tuple[int, int]], int]:
     """V_W(n,k) = t^shift * N / (1 - t^2): N's merged terms, ascending, and shift.
 
     d / (t^2 - 1) is -d / (1 - t^2), so N is d's six terms with their signs
-    negated.  (n, k) whose N spans more than MAX_TERMS exponents is refused.
+    negated.  O(1) for any n and k >= 0: it builds nothing span-sized, so no budget applies.
     """
     _check_k(k)
-    return _merged(zip(d_exponents(n, k), _N_SIGNS), "W", n, k), _shift(n, k)
+    return _merged(zip(d_exponents(n, k), _N_SIGNS)), _shift(n, k)
 
 
 def _assert_numerator(n: int, k: int, exponents: tuple[int, ...], shift: int) -> None:
@@ -206,10 +205,10 @@ def _jones_dense(n: int, k: int) -> tuple[int, list[int]]:
     _closed_form divides _numerator's N by 1 - t^2; the list has nonzero
     ends.  The division is a theorem, asserted by its remainder, and
     V(1) = 1, V'(1) = 0 are asserted on N's six terms by
-    _assert_numerator, in O(1) on every call.  (n, k) whose numerator
-    spans more than MAX_TERMS exponents is refused before anything dense
-    is built.  jones_wnk keeps it as V's dense form, and the tests take it
-    as the dense reference for classify_symmetry's proof on N's terms.
+    _assert_numerator, in O(1) on every call.  _closed_form's span rule
+    refuses (n, k) before anything dense is built.  jones_wnk keeps it as
+    V's dense form, and the tests take it as the dense reference for
+    classify_symmetry's proof on N's terms.
     """
     terms, shift = _numerator(n, k)
     lo, s = _closed_form(terms, shift, "W", n, k)
@@ -249,10 +248,9 @@ def classify_symmetry(n: int, k: int) -> SymmetryClass:
     terms (1 - t^2 when m = 1).  Any other V must not be symmetric, and
     V(t) = V(1/t) exactly when t^s N's coefficients satisfy c_e = -c_(2-e).
     _assert_numerator's N(1) = N(-1) = 0, the divisibility by 1 - t^2, is
-    what lets N stand in for V.  An (n,k) over jones_wnk's span rule is
-    refused as jones_wnk refuses it.  For k = 0 every member is reported
-    NOT_SYMMETRIC (the nontrivial ones genuinely are; the trivial ones
-    have V = 1).
+    what lets N stand in for V.  No term budget applies, whatever V's span.
+    For k = 0 every member is reported NOT_SYMMETRIC (the nontrivial ones
+    genuinely are; the trivial ones have V = 1).
     """
     _check_k(k)
     if k == 0:
@@ -367,19 +365,16 @@ def mersenne_knot(p: int) -> MersenneWitness:
     """Knots whose Jones polynomial is Phi^sym_{2N} for Mersenne prime N = 2^p - 1.
 
     Works because N = 2*(2^((p-1)/2))^2 - 1 = g(k+1) with
-    k = 2^((p-1)/2) - 1, putting N in the image of g.  V has N terms, so p
-    is rejected when N exceeds MAX_TERMS.  classify_symmetry proves
-    V = Phi~_{2N} for both witnesses, W(2k,k) and W(2k+1,k), on the closed
-    form's six-term numerator in O(1), and Phi~_{2N} is Phi^sym_{2N} for
-    prime N; neither V's list nor Phi_{2N} is built.
+    k = 2^((p-1)/2) - 1, putting N in the image of g.  classify_symmetry
+    proves V = Phi~_{2N} for both witnesses, W(2k,k) and W(2k+1,k), on the
+    closed form's six-term numerator in O(1), and Phi~_{2N} is Phi^sym_{2N}
+    for prime N; neither V's list nor Phi_{2N} is built, so no term budget
+    applies.  p >= 82 (2^p - 1 past isprime's proved range) is refused.
     """
     if p <= 2 or p % 2 == 0:
         raise ValueError("p must be an odd prime exponent > 2")
-    if p >= (MAX_TERMS + 1).bit_length():  # 2^p - 1 > the budget
-        raise ValueError(
-            f"p={p}: V would have 2^{p} - 1 terms, over the budget of "
-            f"{MAX_TERMS} terms"
-        )
+    if p >= PRIME_TEST_LIMIT.bit_length():  # 2^p - 1 >= PRIME_TEST_LIMIT
+        raise ValueError(f"p={p}: 2^{p} - 1 is over isprime's proved limit {PRIME_TEST_LIMIT}")
     order = 2**p - 1
     if not isprime(order):
         raise ValueError(f"2^{p} - 1 = {order} is not prime")

@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -290,14 +291,26 @@ class TestMersenneCommand:
         assert code == 0
         assert out.strip() == "N=31 k=3 knots W(6,3) W(7,3) V=Phi_sym_62"
 
-    def test_over_budget_exits_1(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("p, order", [(31, 2147483647), (61, 2305843009213693951)])
+    def test_past_the_term_budget(self, capsys, p, order):
+        # V has 2^p - 1 terms; the proof on N's six terms needs no budget
+        code, out, _ = run(capsys, "mersenne", "-p", str(p), "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["N"] == order == 2**p - 1
+        assert obj["polynomial_name"] == f"Phi_sym_{2 * order}"
+
+    @pytest.mark.parametrize("p", [89, 10**12 + 1])
+    def test_past_isprime_exits_1_at_once(self, capsys, monkeypatch, p):
         def refuse(n, k):
             raise AssertionError(f"_numerator({n}, {k}) was called")
 
         monkeypatch.setattr(cyclojones.wnk, "_numerator", refuse)
-        code, out, err = run(capsys, "mersenne", "-p", "31")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "mersenne", "-p", str(p))
+        assert time.perf_counter() - start < 0.5
         assert code == 1 and not out
-        assert "2^31 - 1 terms" in err and "budget" in err
+        assert err.startswith(f"error: p={p}: 2^{p} - 1 is over isprime's proved limit")
 
     def test_planted_coefficient_exits_2(self, capsys, monkeypatch):
         true_numerator = cyclojones.wnk._numerator
@@ -379,6 +392,7 @@ class TestUsage:
             ["phitilde", "-m", "-3"],
             ["obstruct", "--max", "1"],
             ["mersenne", "-p", "11"],
+            ["mersenne", "-p", "67"],
         ],
         ids=" ".join,
     )
@@ -399,6 +413,7 @@ class TestReadmeCli:
         "cyclojones verify --n -2..2 --k 0..1 --format json",
         "cyclojones obstruct --max 60",
         "cyclojones mersenne -p 5",
+        "cyclojones mersenne -p 61",
     ]
 
     def test_block_holds_the_checked_lines(self):

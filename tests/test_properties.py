@@ -4,13 +4,16 @@ n < 0 and k = 0 are drawn like any other cell.  The bracket recursion is
 the costly side, so its property runs fewer examples.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
+import cyclojones.wnk
 from cyclojones.bracket import bracket_to_jones, bracket_wnk, jones_to_bracket
 from cyclojones.cyclotomic import _alternating
 from cyclojones.laurent import parse_poly, poly_from_json, poly_to_json, print_poly
 from cyclojones.obstructions import special_value_check
-from cyclojones.wnk import _jones_dense, classify_symmetry, jones_wnk
+from cyclojones.wnk import NOT_SYMMETRIC, _jones_dense, classify_symmetry, jones_wnk, quadruplet
 
 members = st.tuples(st.integers(-12, 12), st.integers(0, 6))
 
@@ -21,6 +24,18 @@ wide_members = st.integers(0, 300).flatmap(
         st.just(k),
     )
 )
+
+# far past the term budget: V would span up to ~10^45 exponents
+huge_members = st.integers(0, 10**15).flatmap(
+    lambda k: st.tuples(
+        st.one_of(st.integers(-(10**30), 10**30), st.sampled_from([k - 1, k, 2 * k, 2 * k + 1])),
+        st.just(k),
+    )
+)
+
+
+def _refuse(*args):
+    raise AssertionError("the closed form's list was built")
 
 
 @settings(max_examples=40, deadline=None)
@@ -58,3 +73,15 @@ def test_classification_matches_the_dense_list(member):
         assert cls.symmetric == (2 * lo + len(v) == 1 and v == v[::-1])
     if cls.symmetric:
         assert (lo, v) == _alternating(cls.m)
+
+
+@given(huge_members)
+def test_classification_needs_no_budget(member):
+    # the O(1) proof at any size: the table's class or NOT_SYMMETRIC, and no list built
+    n, k = member
+    with (
+        mock.patch.object(cyclojones.wnk, "_closed_form", _refuse),
+        mock.patch.object(cyclojones.wnk, "_stride_div", _refuse),
+    ):
+        cls = classify_symmetry(n, k)
+    assert cls == (quadruplet(k).get(n, NOT_SYMMETRIC) if k else NOT_SYMMETRIC)

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
 import cyclojones.wnk
+from cyclojones.arith import PRIME_TEST_LIMIT
 from cyclojones.cyclotomic import _alternating, is_cyclotomic_product, phi, phi_sym, phi_tilde
 from cyclojones.errors import InexactDivisionError, InternalInconsistencyError
 from cyclojones.laurent import LaurentPoly, _from_dense, parse_poly
@@ -148,10 +151,14 @@ class TestClassifySymmetry:
             raise AssertionError("the closed form's list was built")
 
         monkeypatch.setattr(cyclojones.wnk, "_closed_form", refuse)
+        monkeypatch.setattr(cyclojones.wnk, "_stride_div", refuse)
         for k in range(1, 31):
             for n in range(-5, 70):
                 classify_symmetry(n, k)
-        assert mersenne_knot(19).order == 524287
+        # V has 2^p - 1 terms, past the term budget for p = 31 and 61
+        for p in (19, 31, 61):
+            k = 2 ** ((p - 1) // 2) - 1
+            assert mersenne_knot(p) == (p, 2**p - 1, k, ((2 * k, k), (2 * k + 1, k)))
 
     def test_planted_symmetric_non_member_raises(self, monkeypatch):
         # the equivalence's other half: a non-member's V must not be symmetric.
@@ -366,6 +373,32 @@ class TestTermBudget:
         with pytest.raises(ValueError, match=rf"^W\({n},{k}\): the closed form spans .* budget"):
             jones_wnk(n, k)
 
+    @pytest.mark.parametrize(
+        "n, k, over", [(1447, 723, False), (1448, 724, True), (349525, 1, False), (349526, 1, True)]
+    )
+    def test_check_span_refuses_what_the_closed_form_refuses(self, monkeypatch, n, k, over):
+        # the classify pre-pass and the builder apply the one span rule to the same N
+        class Reached(Exception):
+            pass
+
+        def reached(s, d):
+            raise Reached
+
+        def build():
+            return cyclojones.wnk._closed_form(*cyclojones.wnk._numerator(n, k), "W", n, k)
+
+        monkeypatch.setattr(cyclojones.wnk, "_stride_div", reached)
+        if over:
+            with pytest.raises(ValueError, match="budget") as refused:
+                cyclojones.wnk._check_span(n, k)
+            with pytest.raises(ValueError, match="budget") as built:
+                build()
+            assert str(refused.value) == str(built.value)
+        else:
+            cyclojones.wnk._check_span(n, k)
+            with pytest.raises(Reached):
+                build()
+
     def test_largest_mersenne_member_within_budget(self):
         # W(1022, 511) is the p = 19 witness; its numerator spans 2^19
         assert d_polynomial(1022, 511).span() <= cyclojones.wnk.MAX_TERMS
@@ -392,16 +425,26 @@ class TestMersenne:
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
             mersenne_knot(11)  # 2047 = 23 * 89
+        # past the term budget, and 81, the largest odd p with 2^p - 1 below PRIME_TEST_LIMIT
+        assert 2**81 - 1 < PRIME_TEST_LIMIT <= 2**82 - 1
+        for p in (67, 81):
+            with pytest.raises(ValueError, match=rf"^2\^{p} - 1 = \d+ is not prime"):
+                mersenne_knot(p)
 
-    def test_over_budget_rejected_before_building(self, monkeypatch):
-        def refuse(n, k):
-            raise AssertionError(f"_numerator({n}, {k}) was called")
+    @pytest.mark.parametrize("p", [89, 10**12 + 1])
+    def test_past_isprime_rejected_before_building(self, monkeypatch, p):
+        # 2^p - 1 >= PRIME_TEST_LIMIT is refused before 2^p is formed
+        def refuse(*args):
+            raise AssertionError(f"{args} was reached")
 
         monkeypatch.setattr(cyclojones.wnk, "_numerator", refuse)
-        with pytest.raises(ValueError, match="budget"):
-            mersenne_knot(31)  # 2^31 - 1 terms
+        monkeypatch.setattr(cyclojones.wnk, "isprime", refuse)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^p={p}: 2\^{p} - 1 is over isprime's proved limit"):
+            mersenne_knot(p)
+        assert time.perf_counter() - start < 0.5
 
-    @pytest.mark.parametrize("p", [17, 19])
+    @pytest.mark.parametrize("p", [17, 19, 31, 61])
     def test_within_budget_reaches_the_build(self, monkeypatch, p):
         class Reached(Exception):
             pass

@@ -7,11 +7,15 @@ PARENT and CHANGE are repository roots.  For every workload and seed the
 script runs ``perfbench/run.py`` untraced once in each checkout, for the
 ``run_seconds`` that CHANGE/BENCHMARK.json sets and one process at a
 time, with the parent first on odd pairs and the change first on even
-ones.  The default ten seeds give the ten pairs a claimed gain needs.  It then makes one traced run per checkout at the
-first seed for the per-layer counts.  Standard output is one JSON object
-with, per workload and side, the median and quartiles of every
-end-to-end metric over the seeds, the number of pairs the change won on
-each metric (the direction read from CHANGE/BENCHMARK.json), the failed
+ones.  The default ten seeds give the ten pairs a claimed gain needs.  It
+then makes one traced run per checkout at the first seed for the
+per-layer counts.  Each side's runs share one bytecode cache, made fresh
+for that side in a temporary directory (PYTHONPYCACHEPREFIX, with
+PYTHONDONTWRITEBYTECODE cleared), so a stale or missing ``__pycache__``
+in either checkout cannot bias ``setup_s``, a fresh import.  Standard
+output is one JSON object with, per workload and side, the median and
+quartiles of every end-to-end metric over the seeds, the number of pairs
+the change won on each metric (the direction read from CHANGE/BENCHMARK.json), the failed
 ops and the traced counts per round.  Per workload it also gives each
 metric's relative change of the median, (change - parent) / parent, and
 ``regressions`` lists every "workload.metric" whose median got worse by
@@ -27,12 +31,13 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 
 
-def run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(root: str, env: dict, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=True)
     print(f"{os.path.basename(os.path.abspath(root))}: {proc.stderr.strip()}", file=sys.stderr)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -60,6 +65,9 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     sides = {"parent": args.parent, "change": args.change}
+    caches = {side: tempfile.TemporaryDirectory(prefix=f"bench-pairs-{side}-") for side in sides}
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    envs = {side: {**base, "PYTHONPYCACHEPREFIX": cache.name} for side, cache in caches.items()}
 
     out = {"seconds": seconds, "seeds": args.seeds,
            "python": platform.python_version(), "cpus": os.cpu_count(),
@@ -69,7 +77,7 @@ def main(argv=None) -> int:
         for i, seed in enumerate(args.seeds):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             for side in order:
-                runs[side].append(run(sides[side], workload, seed, seconds, 0))
+                runs[side].append(run(sides[side], envs[side], workload, seed, seconds, 0))
         values = {side: {name: [r["metrics"][name]["value"] for r in rs] for name in better}
                   for side, rs in runs.items()}
         wins, change = {}, {}
@@ -83,7 +91,7 @@ def main(argv=None) -> int:
                 out["regressions"].append(f"{workload}.{name}")
         traced = {}
         for side, root in sides.items():
-            metrics = run(root, workload, args.seeds[0], seconds, 1)["metrics"]
+            metrics = run(root, envs[side], workload, args.seeds[0], seconds, 1)["metrics"]
             traced[side] = {name: m["value"] for name, m in metrics.items() if m["unit"] == "count"}
         entry = {
             side: {
@@ -98,6 +106,8 @@ def main(argv=None) -> int:
         entry["change_wins_of_pairs"] = wins
         entry["median_change_vs_parent"] = change
         out["workloads"][workload] = entry
+    for cache in caches.values():
+        cache.cleanup()
     print(json.dumps(out, indent=1))
     return 0
 
