@@ -110,6 +110,10 @@ class LaurentPoly:
         return sorted(self._terms.items())
 
     def coeff(self, e: int) -> int:
+        cs = self._cs
+        if cs is not None:
+            i = e - self._lo
+            return cs[i] if 0 <= i < len(cs) else 0
         return self._terms.get(e, 0)
 
     def __bool__(self) -> bool:

@@ -1,5 +1,6 @@
 import json
 import shlex
+import sys
 import time
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 import cyclojones.bracket
 import cyclojones.wnk
-from cyclojones.cli import main
+from cyclojones.cli import entry, main
 from cyclojones.cyclotomic import phi_sym
 from cyclojones.laurent import LaurentPoly, parse_poly, poly_from_json
 
@@ -348,12 +349,55 @@ class TestMersenneCommand:
         assert obj["N"] == 7 and obj["knots"] == [[2, 1], [3, 1]]
 
 
-class TestUsage:
-    def test_unknown_command_exits_1(self, capsys):
-        assert run(capsys, "frobnicate")[0] == 1
+COMMANDS = ["jones", "verify", "classify", "table", "phi", "phitilde", "obstruct", "writhe", "mersenne"]
 
-    def test_missing_option_exits_1(self, capsys):
-        assert run(capsys, "jones", "-n", "1")[0] == 1
+
+class TestUsage:
+    # argv, exit code, and for exit 1 a text the error must name
+    CONTRACT = [
+        (["frobnicate"], 1, "frobnicate"),
+        (["jones", "-n", "1", "-k", "1", "--bogus"], 1, "--bogus"),
+        (["jones", "-n", "1"], 1, "-k"),
+        (["phi"], 1, "INDEX"),
+        (["jones", "-n", "x", "-k", "1"], 1, "'x'"),
+        (["jones", "-n", "1", "-k", "1", "--format", "xml"], 1, "'xml'"),
+        (["writhe", "-n", "1", "-k", "1", "extra"], 1, "extra"),
+        ([], 1, "COMMAND"),
+        # exact option names, no abbreviations: --k is not --k-max
+        (["classify", "--k", "3"], 1, "--k"),
+        # --help is the only help option
+        (["-h"], 1, ""),
+        (["verify", "-h"], 1, "-h"),
+        (["--help"], 0, None),
+        *[([command, "--help"], 0, None) for command in COMMANDS],
+        # values led by "-": negative numbers, and ranges in either form
+        (["verify", "--n", "-2..2"], 0, None),
+        (["verify", "--n=-2..2"], 0, None),
+        (["classify", "--n", "-2..6"], 0, None),
+        (["jones", "-n", "-4", "-k", "2"], 0, None),
+        (["jones", "-n1", "-k1"], 0, None),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, code, named", CONTRACT, ids=[" ".join(argv) or "(none)" for argv, _, _ in CONTRACT]
+    )
+    def test_contract(self, capsys, argv, code, named):
+        got, out, err = run(capsys, *argv)  # --help returns; a SystemExit would fail here
+        assert got == code
+        if code == 1:
+            assert not out and err.startswith("error: ") and named in err
+        else:
+            assert out and not err
+            if "--help" in argv:
+                assert out.startswith("usage: cyclojones")
+
+    @pytest.mark.parametrize("argv, code", [(["--n", "-2..2", "--k", "0..1"], 0), (["--n", "x"], 1)])
+    def test_entry_reads_sys_argv(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setattr(sys, "argv", ["cyclojones", "verify", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == code
+        assert capsys.readouterr().out == ("OK 10/10\n" if code == 0 else "")
 
     # over-budget inputs are refused before anything is built
     @pytest.mark.parametrize(

@@ -536,6 +536,9 @@ class TestDenseForm:
         dense, sparse = both_forms(*lo_coeffs)
         assert dense.items() == sparse.items()
         assert len(dense) == len(sparse) and bool(dense) == bool(sparse)
+        lo, coeffs = lo_coeffs
+        for e in range(lo - 2, lo + len(coeffs) + 2):
+            assert dense.coeff(e) == sparse.coeff(e)
         if sparse:
             assert (dense.min_exp, dense.max_exp, dense.span()) == (
                 sparse.min_exp, sparse.max_exp, sparse.span()
@@ -581,7 +584,7 @@ class TestDenseForm:
         v.items(), len(v), bool(v), v.span(), _dense(v), _fold(v, 12)
         v.value_and_derivative_at_one(), poly_to_json(v), special_value_check(v)
         assert not has_dict(v)
-        assert v.coeff(1) == 1 and has_dict(v)
+        assert v.coeff(1) == 1 and not has_dict(v)
         assert v == _from_dense(-2, [1, -1, 0, 1, -1, 1])
 
     def test_dense_copy_is_fresh(self):
