@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import Optional
+from typing import Iterable, Optional
 
 from .arith import SMALL_PRIMES, divisors, factorint
 from .errors import InexactDivisionError, InternalInconsistencyError, NumericError
@@ -47,17 +47,12 @@ def euler_totient(n: int) -> int:
 def phi(n: int) -> LaurentPoly:
     """The n-th cyclotomic polynomial, exact, degree phi(n).
 
-    Squarefree n > 1 is built as the Moebius product
-    Phi_n = prod over d | n of (1 - x^d)^mu(n/d) on one dense coefficient
-    list: the factors with mu = +1 multiply it, then the factors with
-    mu = -1, largest d first, divide it exactly.  Each division checks its
-    remainder (the top d entries of its running sum), so a wrong factor
-    raises InexactDivisionError rather than giving a wrong Phi_n, and
-    coefficients never leave the integers.  Non-squarefree n reduces to
-    its radical via Phi_n(x) = Phi_rad(n)(x^(n/rad(n))).  An n whose Phi_n
-    would have more than MAX_TERMS terms is refused before anything is
-    built; as phi(n) >= sqrt(n/2), n > 2 * MAX_TERMS^2 is refused before
-    factoring.
+    Squarefree n > 1 is built by _stride_product as the Moebius product
+    Phi_n = prod over d | n of (1 - x^d)^mu(n/d).  Non-squarefree n
+    reduces to its radical via Phi_n(x) = Phi_rad(n)(x^(n/rad(n))).  An n
+    whose Phi_n would have more than MAX_TERMS terms is refused before
+    anything is built; as phi(n) >= sqrt(n/2), n > 2 * MAX_TERMS^2 is
+    refused before factoring.
     """
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
@@ -67,21 +62,54 @@ def phi(n: int) -> LaurentPoly:
         )
     if n == 1:
         return LaurentPoly({1: 1, 0: -1})
-    primes = sorted(factorint(n))
+    primes = list(factorint(n))
     radical = math.prod(primes)
     if radical != n:
         return phi(radical).substitute_power(n // radical)
-    # mu(n/d) = mu(n) * mu(d) for squarefree n
-    signed = [(1, (-1) ** len(primes))]
+    return _from_dense(0, _stride_product(_moebius(n, primes)))
+
+
+def _moebius(n: int, primes: Iterable[int]) -> list[tuple[int, int]]:
+    """The (d, mu(n/d)) over the d | n with n/d squarefree; primes are n's.
+
+    Phi_n = prod (1 - x^d)^mu(n/d) for n > 1, and Phi_1 = -(1 - x).
+    """
+    signed = [(n, 1)]
     for p in primes:
-        signed += [(d * p, -mu) for d, mu in signed]
+        signed += [(d // p, -mu) for d, mu in signed]
+    return signed
+
+
+def _net_exponents(factors: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """The e_d with prod Phi_n^mult == +-prod (1 - x^d)^e_d over the (n, mult).
+
+    The sign is - exactly when Phi_1's multiplicity is odd.
+    """
+    net: dict[int, int] = {}
+    for n, mult in factors:
+        for d, mu in _moebius(n, factorint(n)):
+            net[d] = net.get(d, 0) + mu * mult
+    return net
+
+
+def _stride_product(exponents: Iterable[tuple[int, int]]) -> list[int]:
+    """Ascending coefficients of the polynomial prod (1 - x^d)^e over the (d, e).
+
+    Built on one dense list: the factors with e > 0 multiply it, then
+    those with e < 0, largest d first, divide it exactly.  Each division
+    checks its remainder (the top d entries of its running sum), so a
+    product that is not a polynomial raises InexactDivisionError.
+    """
+    exponents = sorted(exponents)
     s = [1]
-    for d in sorted(d for d, mu in signed if mu > 0):
-        s.extend(repeat(0, d))
-        _stride_mul(s, d)
-    for d in sorted((d for d, mu in signed if mu < 0), reverse=True):
-        _stride_div(s, d)
-    return _from_dense(0, s)
+    for d, e in exponents:
+        for _ in range(e):
+            s.extend(repeat(0, d))
+            _stride_mul(s, d)
+    for d, e in reversed(exponents):
+        for _ in range(-e):
+            _stride_div(s, d)
+    return s
 
 
 def residue(p: LaurentPoly, n: int) -> tuple[int, ...]:
@@ -123,20 +151,24 @@ def phi_tilde(m: int) -> LaurentPoly:
     """Product of Phi^sym_{2d} over divisors d > 1 of odd m.
 
     Built as its symmetric list of m alternating coefficients +1, -1, ...,
-    +1, which is checked against the product of the Phi_{2d} on every
-    cache miss; a mismatch would mean broken polynomial arithmetic.  It
-    has m terms, so m > MAX_TERMS is refused before anything is built.
+    +1, which is checked on every cache miss against the product of the
+    Phi_{2d} that _stride_product takes from their summed Moebius
+    exponents, (1 - x)(1 - x^2m) / ((1 - x^2)(1 - x^m)) for m > 1: O(m),
+    with no Phi_{2d} built.  A remainder or a mismatch would mean broken
+    polynomial arithmetic.  It has m terms, so m > MAX_TERMS is refused
+    before anything is built.
     """
     if m < 1 or m % 2 == 0:
         raise ValueError("phi_tilde is defined for odd m >= 1")
     if m > MAX_TERMS:
         raise ValueError(f"phi_tilde({m}) has {m} terms, over the budget of {MAX_TERMS} terms")
-    product = LaurentPoly.one()
-    for d in divisors(m):
-        if d > 1:
-            product = product * phi(2 * d)
+    net = _net_exponents((2 * d, 1) for d in divisors(m) if d > 1)
     lo, alternating = _alternating(m)
-    if _dense(product) != (0, alternating):
+    try:
+        product = _stride_product(net.items())
+    except InexactDivisionError:
+        product = None
+    if product != alternating:
         raise InternalInconsistencyError(
             f"phi_tilde({m}): product and alternating forms disagree"
         )
@@ -152,11 +184,13 @@ class CyclotomicFactorization:
     factors: tuple[tuple[int, int], ...]  # (index, multiplicity), ascending
 
     def reconstruct(self) -> LaurentPoly:
-        out = LaurentPoly.monomial(self.sign, self.monomial_shift)
-        for d, mult in self.factors:
-            for _ in range(mult):
-                out = out * phi(d)
-        return out
+        """The product itself, by _stride_product on the factors' Moebius exponents.
+
+        Phi_1 = -(1 - x), so each unit of its multiplicity flips the sign.
+        """
+        sign = self.sign * (-1) ** dict(self.factors).get(1, 0)
+        coeffs = _stride_product(_net_exponents(self.factors).items())
+        return _from_dense(self.monomial_shift, [sign * c for c in coeffs])
 
     def to_json(self) -> dict:
         return {

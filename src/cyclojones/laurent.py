@@ -29,17 +29,14 @@ Every cyclotomic object in the package is a product of factors
 `_stride_mul` multiplies by 1 - x^d (a shifted subtraction) and
 `_stride_div` divides by it (a running sum with stride d), exactly, with
 the top d entries checked as the remainder, or as a power series.  It
-builds Phi_n as a Moebius product, takes the closed forms' quotients by
-1 - t^2 and reads the cyclotomic exponent sequence.
+builds Phi_n as a Moebius product, checks Phi~_{2m} and rebuilds a
+cyclotomic factorization from their Moebius exponents, takes the closed
+forms' quotients by 1 - t^2 and reads the cyclotomic exponent sequence.
 
-Products take one of two paths, chosen from the operands alone.  The
-schoolbook loop over term pairs serves a product whose smaller operand
-has at most `_KRONECKER_RATIO` terms, or whose term pairs number at most
-`_KRONECKER_RATIO` times the dense length of the result (the sum of the
-spans plus 2), so a sparse operand with a huge span is never made dense.
-Larger products go through `_kronecker_product`: each dense coefficient
-list is packed into one integer with fixed-width slots, and CPython's
-big-integer multiply (Karatsuba) forms the product in one call.
+Products are the schoolbook loop over term pairs, so a sparse operand
+with a huge span stays O(terms), and a product of two large dense
+operands is quadratic in their terms.  No path in the package multiplies
+two large polynomials: the cyclotomic products are all stride passes.
 """
 
 from __future__ import annotations
@@ -230,11 +227,6 @@ class LaurentPoly:
         other = self._coerce(other)
         # iterate the smaller factor on the outside
         a, b = (self, other) if len(self) <= len(other) else (other, self)
-        # most products are small and stop at the first comparison
-        if len(a) > _KRONECKER_RATIO and len(a) * len(b) > _KRONECKER_RATIO * (
-            a.span() + b.span() + 2
-        ):
-            return _kronecker_product(self, other)
         data: dict[int, int] = {}
         for e1, c1 in a._terms.items():
             for e2, c2 in b._terms.items():
@@ -375,46 +367,6 @@ def _from_dense(
     out._lo = lo + first
     out._cs = tuple(coeffs)
     return out
-
-
-# Kronecker takes a product with more than this many term pairs per slot of
-# its dense result: twice the measured break-even with the schoolbook loop.
-_KRONECKER_RATIO = 8
-
-
-def _kronecker_product(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """p*q by Kronecker substitution: one big-int multiply.
-
-    Each dense coefficient list is packed into one int with slots of wb
-    bytes, every slot offset by half = 2^(8*wb - 1) so that it holds a
-    nonnegative number.  No coefficient of the product exceeds
-    bound = min(len p, len q) * max|p| * max|q| in size, and wb is chosen
-    with bound < half, so the product's slots, offset by half again, read
-    back exactly, with no carry between them.
-    """
-    lo_p, cp = _dense(p)
-    lo_q, cq = _dense(q)
-    bound = min(len(p), len(q)) * max(map(abs, cp)) * max(map(abs, cq))
-    wb = bound.bit_length() // 8 + 1
-    half = 1 << (8 * wb - 1)
-    product = _pack(cp, wb, half) * _pack(cq, wb, half)
-    size = len(cp) + len(cq) - 1
-    buf = (product + _offsets(size, wb)).to_bytes(size * wb, "little")
-    from_bytes = int.from_bytes
-    coeffs = [from_bytes(buf[i:i + wb], "little") - half for i in range(0, len(buf), wb)]
-    return _from_dense(lo_p + lo_q, coeffs, p.variable)
-
-
-def _offsets(size: int, wb: int) -> int:
-    """half = 2^(8*wb - 1) in each of size slots of wb bytes."""
-    return int.from_bytes((bytes(wb - 1) + b"\x80") * size, "little")
-
-
-def _pack(coeffs: list[int], wb: int, half: int) -> int:
-    """sum(c_k * 2^(8*wb*k)) for signed c_k with |c_k| < half."""
-    return int.from_bytes(
-        b"".join((c + half).to_bytes(wb, "little") for c in coeffs), "little"
-    ) - _offsets(len(coeffs), wb)
 
 
 def _fold(p: LaurentPoly, n: int) -> list[int]:

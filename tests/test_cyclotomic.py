@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy import divisors
 
 import cyclojones.cyclotomic
+from cyclojones.cli import main
 from cyclojones.cyclotomic import (
     MAX_NUMERIC_DEGREE,
     MAX_QR_DEGREE,
@@ -25,7 +26,7 @@ from cyclojones.cyclotomic import (
 )
 from cyclojones.errors import InternalInconsistencyError
 from cyclojones.laurent import MAX_TERMS, LaurentPoly, _dense, parse_poly
-from cyclojones.wnk import jones_wnk
+from cyclojones.wnk import generate_table, jones_wnk
 
 
 def t_power_minus_one(n):
@@ -157,17 +158,42 @@ class TestPhiTilde:
         with pytest.raises(Reached):
             phi_tilde(MAX_TERMS - 1)
 
-    def test_wrong_factor_raises(self, monkeypatch):
-        original = cyclojones.cyclotomic.phi
+    def test_wrong_factor_raises(self, capsys, monkeypatch):
+        original = cyclojones.cyclotomic._moebius
 
-        def planted(n):
-            p = original(n)
-            return p + LaurentPoly({1: 1}) if n == 10 else p
+        def planted(n, primes):
+            # 1/Phi_10 in place of Phi_10: a division leaves a remainder
+            out = original(n, primes)
+            return [(d, -mu) for d, mu in out] if n == 10 else out
 
+        monkeypatch.setattr(cyclojones.cyclotomic, "_moebius", planted)
+        self.assert_fails_check(capsys, 15)
+
+    def test_wrong_alternating_entry_raises(self, capsys, monkeypatch):
+        original = cyclojones.cyclotomic._alternating
+
+        def planted(m):
+            lo, coeffs = original(m)
+            coeffs[1] += 2
+            return lo, coeffs
+
+        monkeypatch.setattr(cyclojones.cyclotomic, "_alternating", planted)
+        self.assert_fails_check(capsys, 15)
+
+    @staticmethod
+    def assert_fails_check(capsys, m):
         phi_tilde.cache_clear()
-        monkeypatch.setattr(cyclojones.cyclotomic, "phi", planted)
         with pytest.raises(InternalInconsistencyError, match="phi_tilde"):
-            phi_tilde(15)
+            phi_tilde(m)
+        assert main(["phitilde", "-m", str(m)]) == 2
+        assert "product and alternating forms disagree" in capsys.readouterr().err
+
+    def test_check_leaves_phi_cache_alone(self):
+        phi_tilde.cache_clear()
+        before = phi.cache_info().currsize
+        phi_tilde(15015)
+        generate_table(10)
+        assert phi.cache_info().currsize == before
 
     def test_product_identity_over_odd_m(self):
         # phi_tilde(m) * (t+1) * t^((m-1)/2) == t^m + 1
