@@ -5,7 +5,7 @@ two are tied together by t = A^-4 and the writhe normalization, so exact
 agreement of this recursion with the closed form cross-checks both.
 
 The recursion removes one column of k at a time: a level holds the
-brackets <W(n,k)> for all n in a symmetric window, and the next level is
+brackets <W(n,k)> for all n in a range, and the next level is
 produced by the kink formula
 
     <W(n,k+1)> = (A^-1 - A^3) * A^n * S_n - A^(2n-1) * <W(n-2,k)>
@@ -13,9 +13,11 @@ produced by the kink formula
 where S_n = sum_{i=0..n} A^(n-2i) g_(-n+2i) is a signed sum over the
 previous level (g_a = <W(-a-2,k)>).  S_n and S_(n-2) differ by two terms,
 so a level carries one running sum per parity of n and costs O(W)
-additions for a window of width W.  Each step consumes level entries up
-to two indices wider than the one it produces, so the windows shrink by
-two per level.
+additions for a level of width W.  A level producing n in [L, H] reads
+the previous one at [min(-M-2, L-2), M-2], M = max(H, -L-2), and every
+level is read at [-a, a] by verify_range, so each level holds the range
+its reads span: at depth d below the top, n in
+[-a - 2d, max(a, a + 2d - 6)] (_ranges).
 
 Every A-exponent of <W(n,k)> is congruent to 3w mod 4 (w the writhe), so
 the recursion runs on packed cells (lo, x): the polynomial
@@ -32,13 +34,15 @@ level: after each level one add and one mask per cell show that every
 coefficient lies in [-8, 8) (the true ones are at most 6 in size: V's
 coefficients are partial sums, one parity class at a time, of the six
 +-1 terms of the closed form's numerator).  A cell of the next level sums
-at most 2W + 3 of them (W the window), under 2^31 for any window the term
-budget allows.  A coefficient outside [-8, 8) raises
+at most 2W + 3 of them (W the largest |n| of its level), under 2^31 for
+any level the term budget allows.  A coefficient outside [-8, 8) raises
 InternalInconsistencyError.
 
-One map, _jones_cell, takes V's list to the cell of (-1)^k A^(3w) V(A^-4):
-level 0 is that cell of each torus knot's list.  A BracketLevel holds cells
-only, decoded when a bracket is read.  verify_range reads no list: with
+One map, _jones_cell, takes V's list to the cell of (-1)^k A^(3w) V(A^-4);
+jones_to_bracket uses it.  Level 0 builds no list: the cell of T(p, p+1)
+is its packed numerator divided by 2^64 - 1, one exact big-integer
+division (_base_cell).  A BracketLevel holds cells only, decoded when a
+bracket is read.  verify_range reads no list: with
 V = t^s N / (1 - t^2) and N the six-term numerator of top exponent h, the
 cell of <W(n,k)> times (1 - B^2) is -(-1)^k sum_e c_e B^(h - e), so each
 cell x is checked as x - (x << 64) against that packed sum, with
@@ -51,8 +55,8 @@ Before any level is built, the levels are budgeted: cell (n, j) counts
 max(e) - min(e) - 1 terms, e the six exponents of d_polynomial(n, j).
 Each exponent is affine in n, so per level that count is the difference
 of two convex piecewise-linear envelopes, summed in closed form over the
-window (one arithmetic series per piece), and the levels are summed
-widest first until the total passes MAX_TERMS.
+level's range (one arithmetic series per piece), and the levels are
+summed widest first until the total passes MAX_TERMS.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from operator import add, sub
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import InternalInconsistencyError, TagError
 from .laurent import LaurentPoly, _dense, _from_dense
@@ -71,6 +75,7 @@ from .wnk import (
     _closed_form,
     _merged,
     _packed_numerator,
+    _span_rule,
     d_exponents,
     writhe_wnk,
 )
@@ -121,14 +126,18 @@ def _decode(cell: Cell) -> LaurentPoly:
     return _from_dense(lo, _unpack(x), "A", 4)
 
 
+def _torus_numerator(p: int, q: int) -> list[tuple[int, int]]:
+    """T(p,q)'s N, V = t^((p-1)(q-1)/2) N / (1 - t^2): four terms, ascending for p < q."""
+    return [(0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)]
+
+
 def _torus_dense(p: int, q: int) -> tuple[int, list[int]]:
     """V of the (p,q) torus knot as (lowest exponent, coefficients)."""
     if p < 1 or q < 1:
         raise ValueError("torus parameters must be >= 1")
     if math.gcd(p, q) != 1:
         raise ValueError(f"({p},{q}) is not coprime")
-    numerator = [(0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)]
-    return _closed_form(_merged(numerator), (p - 1) * (q - 1) // 2, "T", p, q)
+    return _closed_form(_merged(_torus_numerator(p, q)), (p - 1) * (q - 1) // 2, "T", p, q)
 
 
 def torus_jones(p: int, q: int) -> LaurentPoly:
@@ -146,9 +155,33 @@ def _jones_cell(n: int, k: int, lo: int, v: list[int]) -> Cell:
 
 
 def _base_cell(n: int) -> Cell:
-    """The cell of <W(n,0)>: T(n', n'+1)'s list, n' = n for n >= 0 and -1-n below."""
-    n_eff = n if n >= 0 else -1 - n
-    return _jones_cell(n, 0, *(_torus_dense(n_eff, n_eff + 1) if n_eff else (0, [1])))
+    """The cell of <W(n,0)>, i.e. of T(p, p+1), p = n for n >= 0 and -1-n below.
+
+    With V = t^s N / (1 - t^2), the cell times 1 - B^2 is
+    -sum_e c_e B^(h - e), h N's top exponent (_cell_is_jones at k = 0).  So
+    the cell is N packed from the top, sum_e c_e 2^(32 (h - e)), divided by
+    2^64 - 1, from lo = 3w - 4(s + h - 2).  Modulo 2^64 - 1 the packed N is
+    E + 2^32 O, E and O the sums of the c_e at even and at odd h - e, each
+    at most 2 in size: a zero remainder is exactly N(1) = N(-1) = 0, i.e.
+    1 - t^2 divides N, and then the quotient packs V's list read backwards.
+    A remainder raises InternalInconsistencyError.  The span rule applies
+    to N's four terms before any shift is formed.
+    """
+    p = n if n >= 0 else -1 - n
+    if not p:
+        return 3 * writhe_wnk(n, 0), 1
+    q = p + 1
+    numerator = _torus_numerator(p, q)
+    _span_rule(numerator, "T", p, q)
+    e_top = numerator[-1][0]
+    packed = sum(c << 32 * (e_top - e) for e, c in numerator)
+    z = ((packed & -packed).bit_length() - 1) >> 5  # T(1, 2): t^3 - t^3 cancels
+    x, r = divmod(packed >> 32 * z, 2**64 - 1)
+    if r:
+        raise InternalInconsistencyError(
+            f"T({p},{q}): closed-form numerator not divisible by 1 - t^2"
+        )
+    return 3 * writhe_wnk(n, 0) - 4 * ((p - 1) * p // 2 + e_top - z - 2), x
 
 
 def bracket_wnk_base(n: int) -> LaurentPoly:
@@ -168,7 +201,7 @@ def _lookup(values: dict, k: int, n: int):
 
 @dataclass(frozen=True)
 class BracketLevel:
-    """Brackets <W(n,k)> for one fixed k, over a window of n values.
+    """Brackets <W(n,k)> for one fixed k, over a range of n values.
 
     values[n] is the packed cell of <W(n,k)>; bracket(n) decodes it.
     """
@@ -279,38 +312,47 @@ def _check_slots(level: BracketLevel) -> None:
             )
 
 
-def _next_level(prev: BracketLevel, window: int) -> BracketLevel:
+def _next_level(prev: BracketLevel, lo: int, hi: int) -> BracketLevel:
+    """The level above prev, for lo <= n <= hi.
+
+    It reads prev at [min(-M-2, lo-2), M-2], M = max(hi, -lo-2): the running
+    sums S_0..S_M and the cells <W(n-2,k)>.
+    """
     # One running sum per parity, seeded with S_-1 = 0 and S_0 = g_0:
     # S_n = S_(n-2) + A^n g_(-n) + A^(-n) g_n for n >= 1, and S_n = -S_(-n-2)
-    # below -1.  Two additions per n, so the level costs O(window) additions
-    # where summing each S_n from scratch would cost O(window^2).  S_-1 comes
+    # below -1.  Two additions per n, so the level costs O(width) additions
+    # where summing each S_n from scratch would cost O(width^2).  S_-1 comes
     # from s_sum only because perfbench/test_perfbench_checks.py counts its calls.
     k, cells = prev.k, prev.values
     sums = {-1: _cell(s_sum(-1, prev)), 0: _lookup(cells, k, -2)}
-    for n in range(1, window + 1):
-        lo, g = _lookup(cells, k, n - 2)  # g_(-n)
+    for n in range(1, max(hi, -lo - 2) + 1):
+        lo_g, g = _lookup(cells, k, n - 2)  # g_(-n)
         lo_h, h = _lookup(cells, k, -n - 2)  # g_n
-        sums[n] = _cell_add(_cell_add(sums[n - 2], (lo + n, g)), (lo_h - n, h))
+        sums[n] = _cell_add(_cell_add(sums[n - 2], (lo_g + n, g)), (lo_h - n, h))
     out = {}
-    for n in range(-window, window + 1):
-        lo, s = sums[n] if n >= -1 else sums[-n - 2]
+    for n in range(lo, hi + 1):
+        lo_s, s = sums[n] if n >= -1 else sums[-n - 2]
         if n < -1:
             s = -s
         # A^n (A^-1 - A^3) S_n = A^(n-1) (1 - B) S_n
         lo_p, p = _lookup(cells, k, n - 2)
-        out[n] = _cell_add((lo + n - 1, s - (s << 32)), (lo_p + 2 * n - 1, p), sub)
+        out[n] = _cell_add((lo_s + n - 1, s - (s << 32)), (lo_p + 2 * n - 1, p), sub)
     level = BracketLevel(k + 1, out)
     _check_slots(level)
     return level
 
 
-def _windows(n_abs_max: int, k_max: int) -> range:
-    """Half-widths of levels 0..k_max: level j holds |n| <= its entry.
+def _ranges(n_abs_max: int, k_max: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) of levels 0..k_max, widest first: level j holds lo <= n <= hi.
 
-    Each level is read two indices wider than the one it produces, so the
-    windows shrink by two per level down to n_abs_max + 2 at k_max.
+    Level j is read at [-a, a], a = n_abs_max (verify_range reads every
+    level there), and by _next_level building level j + 1.  At depth
+    d = k_max - j those reads span [-a - 2d, max(a, a + 2d - 6)].  Lazy, so
+    a budget check over many levels stops after the first few.
     """
-    return range(n_abs_max + 2 * k_max + 2, n_abs_max, -2)
+    a = n_abs_max
+    for d in range(k_max, -1, -1):
+        yield -a - 2 * d, max(a, a + 2 * d - 6)
 
 
 def _upper_sum(lines: list[tuple[int, int]], lo: int, hi: int) -> int:
@@ -360,14 +402,14 @@ def _check_budget(n_abs_max: int, k_max: int) -> None:
     """Refuse levels whose cells would hold more than MAX_TERMS terms in all.
 
     Cell (n, j) holds at most span(d_polynomial(n, j)) - 1 terms, read
-    from the exponents alone.  The sum runs level by level over the windows
-    bracket_levels builds, each level's window in closed form
+    from the exponents alone.  The sum runs level by level over the ranges
+    bracket_levels builds (_ranges), each level's range in closed form
     (_level_terms), widest level first, and stops as soon as it passes the
     budget, so a request with many levels is refused after the first few.
     """
     total = 0
-    for j, window in enumerate(_windows(n_abs_max, k_max)):
-        total += _level_terms(j, -window, window)
+    for j, (lo, hi) in enumerate(_ranges(n_abs_max, k_max)):
+        total += _level_terms(j, lo, hi)
         if total > MAX_TERMS:
             raise ValueError(
                 f"bracket levels for |n| <= {n_abs_max}, k <= {k_max} would hold "
@@ -376,19 +418,20 @@ def _check_budget(n_abs_max: int, k_max: int) -> None:
 
 
 def bracket_levels(n_abs_max: int, k_max: int) -> list[BracketLevel]:
-    """Levels 0..k_max with windows wide enough for |n| <= n_abs_max at the top.
+    """Levels 0..k_max, each holding |n| <= n_abs_max and the cells the next one reads.
 
     Raises ValueError before building anything when the levels would hold
     more than MAX_TERMS terms in all.
     """
     _check_budget(n_abs_max, k_max)
-    first, *rest = _windows(n_abs_max, k_max)
+    ranges = _ranges(n_abs_max, k_max)
+    lo, hi = next(ranges)
     # W(n,0) and W(-1-n,0) are T(n', n'+1) with the same writhe n^2 + n: one cell
-    cells = [_base_cell(n) for n in range(first + 1)]
-    levels = [BracketLevel(0, {n: cells[n if n >= 0 else -1 - n] for n in range(-first, first + 1)})]
+    cells = [_base_cell(n) for n in range(max(hi, -1 - lo) + 1)]
+    levels = [BracketLevel(0, {n: cells[n if n >= 0 else -1 - n] for n in range(lo, hi + 1)})]
     _check_slots(levels[0])
-    for window in rest:
-        levels.append(_next_level(levels[-1], window))
+    for lo, hi in ranges:
+        levels.append(_next_level(levels[-1], lo, hi))
     return levels
 
 

@@ -8,15 +8,19 @@ import cyclojones.bracket
 import cyclojones.wnk
 from cyclojones.bracket import (
     BracketLevel,
+    _base_cell,
     _cell,
     _cell_add,
     _cell_to_jones,
     _check_budget,
     _check_slots,
+    _jones_cell,
     _level_terms,
+    _next_level,
     _pack,
+    _ranges,
+    _torus_dense,
     _unpack,
-    _windows,
     bracket_levels,
     bracket_to_jones,
     bracket_wnk,
@@ -31,6 +35,7 @@ from cyclojones.errors import InexactDivisionError, InternalInconsistencyError, 
 from cyclojones.laurent import LaurentPoly, _from_dense, parse_poly
 from cyclojones.wnk import (
     MAX_TERMS,
+    _check_span,
     _jones_dense,
     _numerator,
     _packed_numerator,
@@ -62,12 +67,33 @@ def cell_terms(n, j):
 def reference_refuses(n_abs_max, k_max):
     """The budget's decision summed cell by cell, stopping once it passes MAX_TERMS."""
     total = 0
-    for j, window in enumerate(_windows(n_abs_max, k_max)):
-        for n in range(-window, window + 1):
+    for j, (lo, hi) in enumerate(_ranges(n_abs_max, k_max)):
+        for n in range(lo, hi + 1):
             total += cell_terms(n, j)
             if total > MAX_TERMS:
                 return True
     return False
+
+
+def list_route_cell(n):
+    """The cell of <W(n,0)> from T(n', n'+1)'s list, divided by _closed_form."""
+    p = n if n >= 0 else -1 - n
+    return _jones_cell(n, 0, *(_torus_dense(p, p + 1) if p else (0, [1])))
+
+
+def read_ranges(n_abs_max, k_max):
+    """(lo, hi) of levels 0..k_max from the reads alone, top level first.
+
+    verify_range reads [-a, a] of every level; _next_level producing
+    [lo, hi] reads [min(-M-2, lo-2), M-2], M = max(hi, -lo-2).
+    """
+    lo, hi = -n_abs_max, n_abs_max
+    out = [(lo, hi)]
+    for _ in range(k_max):
+        m = max(hi, -lo - 2)
+        lo, hi = min(-m - 2, lo - 2, -n_abs_max), max(m - 2, hi - 2, n_abs_max)
+        out.append((lo, hi))
+    return out[::-1]
 
 
 def refuses(n_abs_max, k_max):
@@ -165,11 +191,39 @@ class TestBracketBase:
 
     def test_cells_match_the_dict_formula(self):
         # level 0 against (-1)^k A^(3w) V(A^-4) on the torus knot's term dict
-        level = bracket_levels(56, 1)[0]
-        for n in range(-60, 61):
+        level = bracket_levels(56, 3)[0]
+        assert list(level.values) == list(range(-62, 57))
+        for n in level.values:
             m = n if n >= 0 else -1 - n
             v = torus_jones(m, m + 1) if m else LaurentPoly.one()
             assert level.values[n] == _cell(reference_bracket(n, 0, v))
+
+    def test_division_matches_the_list_route(self):
+        # one exact big-integer division per cell against _closed_form's list
+        for n in range(-800, 801):
+            assert _base_cell(n) == list_route_cell(n)
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("moved, sign", [(0, -1), (1, 1)], ids=["sign flipped", "moved by t"])
+    def test_planted_torus_term_raises(self, monkeypatch, index, moved, sign):
+        # one of N's four terms off: a flipped sign breaks N(1) = 0, an exponent
+        # off by one N(-1) = 0, so 2^64 - 1 leaves a remainder
+        true_numerator = cyclojones.bracket._torus_numerator
+
+        def planted(p, q):
+            terms = true_numerator(p, q)
+            e, c = terms[index]
+            terms[index] = e + moved, sign * c
+            return terms
+
+        monkeypatch.setattr(cyclojones.bracket, "_torus_numerator", planted)
+        for n in (5, -6, 40):
+            p = n if n >= 0 else -1 - n
+            with pytest.raises(
+                InternalInconsistencyError,
+                match=rf"^T\({p},{p + 1}\): closed-form numerator not divisible by 1 - t\^2$",
+            ):
+                _base_cell(n)
 
     def test_negative_reflection(self):
         # W(n,0) and W(-1-n,0) are the same knot but framed differently,
@@ -218,20 +272,21 @@ class TestSSum:
 
 class TestRunningSums:
     @staticmethod
-    def reference_brackets(prev, window):
+    def reference_brackets(prev, ns):
         # each S_n summed from scratch by its definition
         return {
             n: A_KINK * s_sum(n, prev).shift(n) - prev.bracket(n - 2).shift(2 * n - 1)
-            for n in range(-window, window + 1)
+            for n in ns
         }
 
     @pytest.mark.parametrize("a", [*range(9), 20])
     def test_levels_match_definition(self, a):
+        # every cell each level holds, from the cells the level below holds
         for k in range(1, 6 if a < 9 else 7):
             levels = bracket_levels(a, k)
             for j in range(1, k + 1):
-                expected = self.reference_brackets(levels[j - 1], a + 2 * (k - j) + 2)
-                assert {n: levels[j].bracket(n) for n in levels[j].values} == expected
+                got = {n: levels[j].bracket(n) for n in levels[j].values}
+                assert got == self.reference_brackets(levels[j - 1], levels[j].values)
 
     def test_linear_additions_per_level(self, monkeypatch):
         # summing each S_n from scratch makes about 23 additions per cell here
@@ -249,6 +304,55 @@ class TestRunningSums:
         assert cyclojones.bracket._cell_add is cell_add
         cells = sum(len(level.values) for level in levels[1:])
         assert cells <= calls <= 3 * cells
+
+
+class ReadCells(dict):
+    """A level's cells that records every key read, and every key missed."""
+
+    def __init__(self, cells, misses):
+        super().__init__(cells)
+        self.reads, self.misses = set(), misses
+
+    def __getitem__(self, n):
+        if n not in self:
+            self.misses.append(n)
+        self.reads.add(n)
+        return super().__getitem__(n)
+
+
+class TestReadSet:
+    @pytest.mark.parametrize("a", [0, 1, 2, 3, 5, 8, 13, 21, 30])
+    def test_every_held_cell_is_read(self, monkeypatch, a):
+        # each level holds the span of what the next _next_level and
+        # verify_range read, every held cell is read, and no read misses
+        for k_max in range(13):
+            levels, misses = [], []
+
+            class Recorded(BracketLevel):
+                def __init__(self, k, values):
+                    super().__init__(k, ReadCells(values, misses))
+                    levels.append(self)
+
+            monkeypatch.setattr(cyclojones.bracket, "BracketLevel", Recorded)
+            assert all(ok for _, _, ok in verify_range(-a, a, 0, k_max))
+            monkeypatch.undo()
+            assert misses == []
+            ranges = list(_ranges(a, k_max))
+            assert ranges == read_ranges(a, k_max)
+            assert [level.k for level in levels] == list(range(k_max + 1))
+            for level, (lo, hi) in zip(levels, ranges):
+                assert list(level.values) == list(range(lo, hi + 1))
+                # at a = 0 the levels one and two below the top are read at n 0
+                # and at n -2 (-4..-2) only: n = -1 lies inside the span, held unread
+                gap = {-1} if a == 0 and 1 <= k_max - level.k <= 2 else set()
+                assert level.values.reads == set(range(lo, hi + 1)) - gap, (k_max, level.k)
+
+    def test_ranges_match_the_reads(self):
+        # the closed form of _ranges against the read rule, and lazy
+        for a in range(61):
+            for k_max in range(41):
+                assert list(_ranges(a, k_max)) == read_ranges(a, k_max)
+        assert next(_ranges(0, 10**100)) == (-2 * 10**100, 2 * 10**100 - 6)
 
 
 class TestDecodeOnRead:
@@ -312,11 +416,11 @@ class TestTrimmedCells:
                 assert coeffs[0] and coeffs[-1]
                 entries += len(coeffs)
         budget = 0  # the count bracket_levels checks against MAX_TERMS, cell by cell
-        for j, window in enumerate(_windows(a, k)):
-            for n in range(-window, window + 1):
+        for j, (lo, hi) in enumerate(_ranges(a, k)):
+            for n in range(lo, hi + 1):
                 budget += cell_terms(n, j)
         assert entries <= budget
-        assert sum(_level_terms(j, -w, w) for j, w in enumerate(_windows(a, k))) == budget
+        assert sum(_level_terms(j, lo, hi) for j, (lo, hi) in enumerate(_ranges(a, k))) == budget
 
 
 class TestBudgetClosedForm:
@@ -334,7 +438,7 @@ class TestBudgetClosedForm:
 
     def test_same_refusals_as_the_cell_sum(self):
         # per k_max, the widest accepted n_abs_max and the next one, by both sums
-        for k_max in range(40):
+        for k_max in range(43):
             lo, hi = -1, 2**20  # refuses(lo) is False or lo = -1; refuses(hi) is True
             while hi - lo > 1:
                 mid = (lo + hi) // 2
@@ -342,27 +446,32 @@ class TestBudgetClosedForm:
             if lo >= 0:
                 assert not reference_refuses(lo, k_max)
             assert reference_refuses(hi, k_max)
-        assert hi == 0 and lo == -1  # k_max = 39 is refused even at n 0..0
+        assert hi == 0 and lo == -1  # k_max = 42 is refused even at n 0..0
 
     @pytest.mark.parametrize(
         "n_abs_max, k_max, refused",
         [
             (0, 38, False),
-            (0, 39, True),
+            (0, 41, False),
+            (0, 42, True),
             (100000, 1, True),
             (721, 0, False),
-            (722, 0, True),
+            (723, 0, False),
+            (724, 0, True),
             (47, 20, False),
-            (48, 20, True),
+            (51, 20, False),
+            (52, 20, True),
         ],
     )
     def test_budget_edges(self, n_abs_max, k_max, refused):
+        # the edges, and the last accepted requests of the symmetric windows
+        # that held two more cells per level than are read
         assert refuses(n_abs_max, k_max) is refused is reference_refuses(n_abs_max, k_max)
 
     def test_totals(self):
         # the counts the README quotes: the default sweep (n -6..8, k 0..5) and n -40..40, k 0..20
-        for (a, k), total in {(8, 5): 5846, (40, 20): 835821}.items():
-            assert sum(_level_terms(j, -w, w) for j, w in enumerate(_windows(a, k))) == total
+        for (a, k), total in {(8, 5): 3400, (40, 20): 712095}.items():
+            assert sum(_level_terms(j, lo, hi) for j, (lo, hi) in enumerate(_ranges(a, k))) == total
 
 
 class TestPackedNumerator:
@@ -463,10 +572,10 @@ class TestSlotGuard:
             verify_range(-2, 2, 0, 2)
 
     def test_deepest_sweep_within_the_budget(self):
-        # n 0..0, k 0..38: the widest windows per level the budget allows
-        assert all(ok for _, _, ok in verify_range(0, 0, 0, 38))
+        # n 0..0, k 0..41: the most levels the budget allows
+        assert all(ok for _, _, ok in verify_range(0, 0, 0, 41))
         with pytest.raises(ValueError, match="budget"):
-            verify_range(0, 0, 0, 39)
+            verify_range(0, 0, 0, 42)
 
 
 def shifted_base_level(monkeypatch):
@@ -522,9 +631,12 @@ class TestModFourCheck:
             plant(monkeypatch)
 
     def test_narrow_window_names_the_missing_cell(self):
-        level = BracketLevel(0, {n: _cell(bracket_wnk_base(n)) for n in range(-4, 5)})
+        # n -3..3 reads n -5..1: every cell but the lowest
+        level = BracketLevel(0, {n: _cell(bracket_wnk_base(n)) for n in range(-4, 2)})
         with pytest.raises(InternalInconsistencyError, match="no entry for n=-5"):
-            cyclojones.bracket._next_level(level, 3)
+            _next_level(level, -3, 3)
+        level.values[-5] = _cell(bracket_wnk_base(-5))
+        assert list(_next_level(level, -3, 3).values) == list(range(-3, 4))
 
 
 class TestSPrime:
@@ -558,29 +670,27 @@ class TestBracketWnk:
             assert bracket_wnk(n, 0) == bracket_wnk_base(n)
 
     def test_k_zero_oversized_rejected_before_building(self, monkeypatch):
-        def refuse(s, d):
-            raise AssertionError("the stride division was called")
+        # the span rule runs on T(n', n'+1)'s four terms before the writhe or any shift
+        def refuse(n, k):
+            raise AssertionError("the cell was built")
 
-        monkeypatch.setattr(cyclojones.wnk, "_stride_div", refuse)
+        monkeypatch.setattr(cyclojones.bracket, "writhe_wnk", refuse)
         for n in (2**20, -(2**20)):
             with pytest.raises(ValueError, match="budget"):
                 bracket_wnk(n, 0)
 
-    def test_k_zero_refuses_what_jones_refuses(self, monkeypatch):
-        # both closed forms reach the division only for a numerator inside the budget
-        def stop(s, d):
-            raise InexactDivisionError("the stride division was reached")
-
-        monkeypatch.setattr(cyclojones.wnk, "_stride_div", stop)
-        for n in (2**19 - 1, 2**19, -(2**19) + 1, -(2**19), -(2**19) - 1):
-            try:
-                jones_wnk(n, 0)
-            except ValueError:
-                with pytest.raises(ValueError, match="budget"):
-                    bracket_wnk(n, 0)
-            except InternalInconsistencyError:
-                with pytest.raises(InternalInconsistencyError, match="not divisible"):
-                    bracket_wnk(n, 0)
+    def test_k_zero_refuses_what_jones_refuses(self):
+        # T(n', n'+1) spans 2n' + 1 exponents, as d_polynomial(n, 0) does:
+        # n' = 2^19 - 1 is the last built, n' = 2^19 the first refused, for both signs of n
+        reference = list_route_cell(2**19 - 1)  # n = -2^19 has the same writhe, so the same cell
+        for n in (2**19 - 1, -(2**19)):
+            _check_span(n, 0)
+            assert _base_cell(n) == reference
+        for n in (2**19, -(2**19) - 1):
+            with pytest.raises(ValueError, match="budget"):
+                _check_span(n, 0)
+            with pytest.raises(ValueError, match=r"^T\(524288,524289\): .* budget"):
+                bracket_wnk(n, 0)
 
     def test_k_zero_within_budget(self):
         b = bracket_wnk(1000, 0)
@@ -722,7 +832,7 @@ class TestOracleEquivalence:
             call()
 
     def test_within_budget_reaches_the_build(self, monkeypatch):
-        # the levels for n -40..40, k 0..20 hold about 836k terms, under 2^20
+        # the levels for n -40..40, k 0..20 hold about 712k terms, under 2^20
         class Reached(Exception):
             pass
 

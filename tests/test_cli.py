@@ -149,6 +149,19 @@ class TestVerifyCommand:
         assert code == 2
         assert "numerator" in err
 
+    def test_wrong_torus_term_exits_2(self, capsys, monkeypatch):
+        # T(n', n'+1)'s top term t^(2n'+1) moved to t^(2n'+2): N(-1) = 2, a remainder
+        true_numerator = cyclojones.bracket._torus_numerator
+
+        def planted(p, q):
+            *rest, (e, c) = true_numerator(p, q)
+            return [*rest, (e + 1, c)]
+
+        monkeypatch.setattr(cyclojones.bracket, "_torus_numerator", planted)
+        code, _, err = run(capsys, "verify", "--n", "0..2", "--k", "0..1")
+        assert code == 2
+        assert "closed-form numerator not divisible by 1 - t^2" in err
+
     def test_digit_past_the_guard_exits_2(self, capsys, monkeypatch):
         # a coefficient of 8 in the level-0 cell of <W(1,0)>
         true_base = cyclojones.bracket._base_cell
