@@ -17,7 +17,7 @@ import sys
 
 from . import bracket, cyclotomic, obstructions, wnk
 from .errors import CyclojonesError, InternalInconsistencyError
-from .laurent import poly_to_json, print_poly
+from .laurent import MAX_TERMS, poly_to_json, print_poly
 
 
 class _Help(Exception):
@@ -134,22 +134,20 @@ def cmd_classify(k_max, n_range, fmt):
     if k_max < 1:
         raise ValueError("k-max must be >= 1")
     ns = _parse_range(n_range) if n_range else None
+    # the request budget, counted before any member's O(1) proof (len() overflows past 2^63)
+    members = k_max * (ns.stop - ns.start if ns else 4)
+    if members > MAX_TERMS:
+        raise ValueError(f"{members} members to classify, over the budget of {MAX_TERMS}")
 
-    def members():
-        for k in range(1, k_max + 1):
-            yield from ((n, k) for n in (ns or wnk.quadruplet(k)))
+    def line(n, k, cls):  # a member's output row: rows are held as text, joined as json.dumps does
+        if fmt == "json":
+            return json.dumps({"n": n, "k": k, **cls.to_json()})
+        extra = f" m={cls.m} ({cls.source})" if cls.symmetric else ""
+        return f"W({n},{k}) {cls.family.value}{extra}"
 
-    for n, k in members():  # the request budget: jones_wnk's span rule on every member first
-        wnk._check_span(n, k)
-    rows = [(n, k, wnk.classify_symmetry(n, k)) for n, k in members()]
-    if fmt == "json":
-        print(json.dumps([
-            {"n": n, "k": k, **cls.to_json()} for n, k, cls in rows
-        ]))
-    else:
-        for n, k, cls in rows:
-            extra = f" m={cls.m} ({cls.source})" if cls.symmetric else ""
-            print(f"W({n},{k}) {cls.family.value}{extra}")
+    lines = [line(n, k, wnk.classify_symmetry(n, k))
+             for k in range(1, k_max + 1) for n in (ns or wnk.quadruplet(k))]
+    print(f"[{', '.join(lines)}]" if fmt == "json" else "\n".join(lines))
 
 
 @_command(

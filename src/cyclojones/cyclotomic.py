@@ -118,8 +118,7 @@ def residue(p: LaurentPoly, n: int) -> tuple[int, ...]:
     Ascending coefficients, of length phi(n).  P is first folded modulo
     x^n - 1, which Phi_n divides, so negative exponents need no care.
     """
-    if n < 1:
-        raise ValueError("cyclotomic index must be >= 1")
+    phi(n)  # refuses n < 1, and a Phi_n over the budget before the fold allocates n entries
     return _fold_residue(_fold(p, n), n)
 
 
@@ -255,17 +254,20 @@ def _cyclotomic_multiplicities(p: LaurentPoly) -> Optional[list[tuple[int, int]]
     x^(L+1); sum |e_d| <= sum m_n 2^omega(n) <= 2D caps the work on other
     inputs.  If every m_n >= 0 and sum m_n phi(n) == D, that product is a
     polynomial of degree D <= L agreeing with P/P(0) modulo x^(L+1), so
-    the two are equal: a yes here is a theorem, not a guess.
+    the two are equal: a yes here is a theorem, not a guess.  A series of
+    over MAX_TERMS terms (past degree 189,294) raises ValueError first.
     """
     if p.palindromic_shift() is None and p.antipalindromic_shift() is None:
         return None  # Phi_1 is antipalindromic and every other Phi_n palindromic
-    coeffs = _dense(p)[1]
-    const = coeffs[0]
-    if coeffs[-1] not in (1, -1) or const not in (1, -1):
+    const = p.coeff(p.min_exp)
+    if p.coeff(p.max_exp) not in (1, -1) or const not in (1, -1):
         return None
-    deg = len(coeffs) - 1
+    deg = p.span()
     top = _index_bound(deg) + 1
-    series = [c * const for c in coeffs] + [0] * (top - len(coeffs))
+    if top > MAX_TERMS:
+        raise ValueError(f"deciding a cyclotomic product of degree {deg} takes a series "
+                         f"of {top} terms, over the budget of {MAX_TERMS} terms")
+    series = [c * const for c in _dense(p)[1]] + [0] * (top - deg - 1)
     exps = _exponent_sequence(series, 2 * deg)
     if exps is None:
         return None
@@ -282,7 +284,8 @@ def is_cyclotomic_product(p: LaurentPoly) -> Optional[CyclotomicFactorization]:
     _cyclotomic_multiplicities); exact division then confirms them.  Only
     the Phi_n it names are built, and each is divided out until it no
     longer divides, so every multiplicity returned is measured by exact
-    division and the quotient left over must be exactly 1.
+    division and the quotient left over must be exactly 1.  An input whose
+    exponent sequence is over the term budget is refused with ValueError.
     """
     if not p:
         raise ValueError("the zero polynomial is not a cyclotomic product")
@@ -471,7 +474,8 @@ def mahler_measure(p: LaurentPoly) -> float:
     Exactly 1.0 for a cyclotomic product, decided by the exponent
     sequence: its leading coefficient is +-1 and its roots are roots of
     unity (by Kronecker's theorem these are the only integer polynomials
-    of measure 1 with P(0) != 0).  Any other input is measured
+    of measure 1 with P(0) != 0); an input whose decision is over the term
+    budget is refused with ValueError.  Any other input is measured
     numerically, and numpy is imported there, on first use.  Up to degree
     MAX_QR_DEGREE = 75 the roots come from np.roots.  Above it they come
     from the Aberth-Ehrlich iteration of _aberth_measure, whose whole root

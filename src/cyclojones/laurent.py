@@ -325,12 +325,13 @@ class LaurentPoly:
 
         Exponents are reduced modulo order first, which is exact on roots
         of unity and keeps the arithmetic well conditioned for the huge
-        exponents cyclotomic polynomials carry.
+        exponents cyclotomic polynomials carry.  Only the roots the terms
+        reach are computed, so the work does not grow with the order.
         """
         if order < 1:
             raise ValueError("order must be >= 1")
-        roots = [cmath.exp(2j * cmath.pi * r / order) for r in range(order)]
-        return sum((c * roots[(e * j) % order] for e, c in self._terms.items()), 0j)
+        terms = self._terms.items()
+        return sum((c * cmath.exp(2j * cmath.pi * (e * j % order) / order) for e, c in terms), 0j)
 
 
 def _dense(p: LaurentPoly) -> tuple[int, list[int]]:

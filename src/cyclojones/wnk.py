@@ -102,11 +102,6 @@ def _span_rule(merged: list[tuple[int, int]], knot: str, p: int, q: int) -> None
         )
 
 
-def _check_span(n: int, k: int) -> None:
-    """ValueError when V_W(n,k)'s numerator, so d_polynomial(n, k), spans over MAX_TERMS."""
-    _span_rule(_numerator(n, k)[0], "W", n, k)
-
-
 def _closed_form(
     merged: list[tuple[int, int]], shift: int, knot: str, p: int, q: int
 ) -> tuple[int, list[int]]:

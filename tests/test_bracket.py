@@ -35,7 +35,6 @@ from cyclojones.errors import InexactDivisionError, InternalInconsistencyError, 
 from cyclojones.laurent import LaurentPoly, _from_dense, parse_poly
 from cyclojones.wnk import (
     MAX_TERMS,
-    _check_span,
     _jones_dense,
     _numerator,
     _packed_numerator,
@@ -679,18 +678,29 @@ class TestBracketWnk:
             with pytest.raises(ValueError, match="budget"):
                 bracket_wnk(n, 0)
 
-    def test_k_zero_refuses_what_jones_refuses(self):
+    def test_k_zero_refuses_what_jones_refuses(self, monkeypatch):
         # T(n', n'+1) spans 2n' + 1 exponents, as d_polynomial(n, 0) does:
         # n' = 2^19 - 1 is the last built, n' = 2^19 the first refused, for both signs of n
+        class Reached(Exception):
+            pass
+
+        def reached(s, d):
+            raise Reached
+
         reference = list_route_cell(2**19 - 1)  # n = -2^19 has the same writhe, so the same cell
         for n in (2**19 - 1, -(2**19)):
-            _check_span(n, 0)
             assert _base_cell(n) == reference
         for n in (2**19, -(2**19) - 1):
-            with pytest.raises(ValueError, match="budget"):
-                _check_span(n, 0)
             with pytest.raises(ValueError, match=r"^T\(524288,524289\): .* budget"):
                 bracket_wnk(n, 0)
+        # jones_wnk reaches its division at the same n the bracket builds, and refuses the rest
+        monkeypatch.setattr(cyclojones.wnk, "_stride_div", reached)
+        for n in (2**19 - 1, -(2**19)):
+            with pytest.raises(Reached):
+                jones_wnk(n, 0)
+        for n in (2**19, -(2**19) - 1):
+            with pytest.raises(ValueError, match=rf"^W\({n},0\): .* budget"):
+                jones_wnk(n, 0)
 
     def test_k_zero_within_budget(self):
         b = bracket_wnk(1000, 0)

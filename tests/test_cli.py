@@ -220,11 +220,12 @@ class TestClassifyCommand:
 
 
 class TestClassifyBudget:
-    """Every requested V is checked against jones_wnk's span rule before any is built.
+    """The request is counted, k_max times the members per column, before any is classified.
 
-    W(1447,723) spans 1,048,352 exponents once its two top terms cancel (its
-    raw exponents span 1,049,076), so k_max = 723 is within the budget;
-    W(1448,724) spans 1,051,250 and W(349526,1) 1,048,579, both over it.
+    Each member is one O(1) proof, and a request of more than MAX_TERMS =
+    2^20 members is refused: k_max = 262,144 default columns of four
+    members is within the budget and 262,145 is over it.  The count never
+    takes len() of the n range, which overflows past 2^63.
     """
 
     class Reached(Exception):
@@ -237,7 +238,7 @@ class TestClassifyBudget:
 
         monkeypatch.setattr(cyclojones.wnk, "classify_symmetry", reached)
 
-    @pytest.mark.parametrize("k_max", [722, 723])
+    @pytest.mark.parametrize("k_max", [1000, 262143, 262144])
     def test_within_budget_reaches_classify(self, k_max):
         with pytest.raises(self.Reached):
             main(["classify", "--k-max", str(k_max)])
@@ -245,15 +246,17 @@ class TestClassifyBudget:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--k-max", "724"],
-            ["--k-max", "1000"],
+            ["--k-max", "262145"],
             ["--k-max", str(10**18)],
             ["--k-max", "1", "--n", "0..1000000000"],
+            ["--k-max", "1", "--n", f"0..{10**20}"],
         ],
         ids=" ".join,
     )
     def test_over_budget_exits_1_before_classifying(self, capsys, argv):
+        start = time.perf_counter()
         code, out, err = run(capsys, "classify", *argv)
+        assert time.perf_counter() - start < 0.1
         assert code == 1 and not out
         assert err.startswith("error: ") and "budget" in err
 
@@ -389,6 +392,10 @@ class TestUsage:
         (["classify", "--n", "-2..6"], 0, None),
         (["jones", "-n", "-4", "-k", "2"], 0, None),
         (["jones", "-n1", "-k1"], 0, None),
+        # a malformed or empty range, and an even Mersenne exponent
+        (["verify", "--n", "x..3"], 1, "range bounds must be integers, got 'x..3'"),
+        (["verify", "--n", "5..3"], 1, "empty range '5..3'"),
+        (["mersenne", "-p", "4"], 1, "p must be an odd prime exponent > 2"),
     ]
 
     @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from cyclojones.cyclotomic import (
     MAX_NUMERIC_DEGREE,
     MAX_QR_DEGREE,
     _aberth_measure,
+    _cyclotomic_multiplicities,
     _index_bound,
     euler_totient,
     is_cyclotomic_product,
@@ -261,6 +262,15 @@ class TestIsCyclotomicProduct:
             ]
 
 
+    def test_planted_multiplicity_disagrees(self, monkeypatch):
+        # V_W(4,2) = t^-8 Phi_34: a sequence naming Phi_34 twice is caught by the division
+        monkeypatch.setattr(cyclojones.cyclotomic, "_cyclotomic_multiplicities", lambda p: [(34, 2)])
+        with pytest.raises(
+            InternalInconsistencyError,
+            match=r"^exponent sequence \[\(34, 2\)\] and exact division \[\(34, 1\)\] disagree$",
+        ):
+            is_cyclotomic_product(jones_wnk(4, 2))
+
     def test_builds_only_the_factors_found(self, monkeypatch):
         # V_W(16,8) = Phi_14 * Phi_46 * Phi_322, shifted; phi(1) is phi's own seed
         built = []
@@ -274,6 +284,34 @@ class TestIsCyclotomicProduct:
         fact = is_cyclotomic_product(jones_wnk(16, 8))
         assert fact.factors == ((14, 1), (46, 1), (322, 1))
         assert {14, 46, 322} <= set(built) <= set(divisors(322))
+
+
+class TestSeriesBudget:
+    """The exponent sequence of degree D reads a series of _index_bound(D) + 1 terms.
+
+    Degree 189,294 takes 1,048,573 of them and is decided; 189,295 takes
+    1,048,579, over MAX_TERMS, and is refused before P is made dense.
+    """
+
+    def test_edge(self):
+        assert _index_bound(189294) + 1 <= MAX_TERMS < _index_bound(189295) + 1
+
+    def test_largest_degree_decided(self):
+        # 1 + t^D is the product of the Phi_d with d | 2D and d not dividing D
+        deg = 189294
+        factors = _cyclotomic_multiplicities(LaurentPoly({deg: 1, 0: 1}))
+        assert factors == [(d, 1) for d in divisors(2 * deg) if deg % d]
+
+    @pytest.mark.parametrize("deg", [189295, 2 * 10**7])
+    def test_over_budget_refused_before_dense(self, monkeypatch, deg):
+        def refuse(p):
+            raise AssertionError("P was made dense")
+
+        monkeypatch.setattr(cyclojones.cyclotomic, "_dense", refuse)
+        p = LaurentPoly({deg: 1, 0: 1})
+        for decide in (is_cyclotomic_product, mahler_measure):
+            with pytest.raises(ValueError, match=rf"^deciding a cyclotomic product of degree {deg} .* budget"):
+                decide(p)
 
 
 X = sympy.symbols("x")

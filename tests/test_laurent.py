@@ -1,12 +1,14 @@
 import cmath
 import gc
 import json
+import time
 import tracemalloc
 
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+import cyclojones.cyclotomic
 from cyclojones import laurent
 from cyclojones.cyclotomic import euler_totient, residue
 from cyclojones.obstructions import special_value_check
@@ -349,6 +351,15 @@ class TestResidueEvaluation:
         with pytest.raises(ValueError, match="cyclotomic index must be >= 1"):
             residue(p, order)
 
+    @pytest.mark.parametrize("order", [2 * 10**7, 10**9])
+    def test_over_budget_refused_before_folding(self, monkeypatch, order):
+        def refuse(p, n):
+            raise AssertionError("the fold was reached")
+
+        monkeypatch.setattr(cyclojones.cyclotomic, "_fold", refuse)
+        with pytest.raises(ValueError, match=rf"^Phi_{order} has degree phi\({order}\) > .* budget"):
+            residue(P("t - 1"), order)
+
     @pytest.mark.parametrize("order", range(2, 31))
     def test_inverse_resolution(self, order):
         # t * t^(order-1) reduces to 1
@@ -386,6 +397,15 @@ class TestComplexEvaluation:
     def test_primitive_root_convention(self):
         value = P("t").evaluate_complex(8, 1)
         assert cmath.isclose(value, cmath.exp(2j * cmath.pi / 8))
+
+    def test_work_does_not_grow_with_the_order(self):
+        # one root per term, so an order past any list of roots takes no longer
+        order = 10**12 + 7
+        start = time.perf_counter()
+        value = P("t^5 - 1 + 2t^-3").evaluate_complex(order, 2)
+        assert time.perf_counter() - start < 1
+        z = cmath.exp(4j * cmath.pi / order)
+        assert abs(value - (z**5 - 1 + 2 * z**-3)) < 1e-9
 
 
 # (text, variable=, value or (ParseError message, position))

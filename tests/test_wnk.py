@@ -376,28 +376,21 @@ class TestTermBudget:
     @pytest.mark.parametrize(
         "n, k, over", [(1447, 723, False), (1448, 724, True), (349525, 1, False), (349526, 1, True)]
     )
-    def test_check_span_refuses_what_the_closed_form_refuses(self, monkeypatch, n, k, over):
-        # the classify pre-pass and the builder apply the one span rule to the same N
+    def test_span_rule_edges(self, monkeypatch, n, k, over):
+        # the builder refuses over the span rule and reaches the division within it
         class Reached(Exception):
             pass
 
         def reached(s, d):
             raise Reached
 
-        def build():
-            return cyclojones.wnk._closed_form(*cyclojones.wnk._numerator(n, k), "W", n, k)
-
         monkeypatch.setattr(cyclojones.wnk, "_stride_div", reached)
         if over:
-            with pytest.raises(ValueError, match="budget") as refused:
-                cyclojones.wnk._check_span(n, k)
-            with pytest.raises(ValueError, match="budget") as built:
-                build()
-            assert str(refused.value) == str(built.value)
+            with pytest.raises(ValueError, match=rf"^W\({n},{k}\): the closed form spans .* budget"):
+                jones_wnk(n, k)
         else:
-            cyclojones.wnk._check_span(n, k)
             with pytest.raises(Reached):
-                build()
+                jones_wnk(n, k)
 
     def test_largest_mersenne_member_within_budget(self):
         # W(1022, 511) is the p = 19 witness; its numerator spans 2^19
@@ -469,6 +462,12 @@ class TestMersenne:
         monkeypatch.setattr(cyclojones.wnk, "_numerator", flipped)
         with pytest.raises(InternalInconsistencyError, match=r"W\(6,3\)"):
             mersenne_knot(5)
+
+    def test_planted_classification_raises(self, monkeypatch):
+        # a classification that does not name Phi~_{2N} is caught before a witness is returned
+        monkeypatch.setattr(cyclojones.wnk, "classify_symmetry", lambda n, k: cyclojones.wnk.NOT_SYMMETRIC)
+        with pytest.raises(InternalInconsistencyError, match=r"^V_W\(2,1\) != Phi_sym_14$"):
+            mersenne_knot(3)
 
     def test_planted_fault_at_the_second_witness_raises(self, monkeypatch):
         # N's terms flipped only at W(2k+1, k) = W(7,3): W(6,3) still proves
