@@ -38,11 +38,12 @@ at most 2W + 3 of them (W the largest |n| of its level), under 2^31 for
 any level the term budget allows.  A coefficient outside [-8, 8) raises
 InternalInconsistencyError.
 
-One map, _jones_cell, takes V's list to the cell of (-1)^k A^(3w) V(A^-4);
-jones_to_bracket uses it.  Level 0 builds no list: the cell of T(p, p+1)
-is its packed numerator divided by 2^64 - 1, one exact big-integer
-division (_base_cell).  A BracketLevel holds cells only, decoded when a
-bracket is read.  verify_range reads no list: with
+bracket_to_jones and jones_to_bracket apply <W(n,k)> = (-1)^k A^(3w)
+V(A^-4) to a polynomial's terms, so a sparse input of huge span stays
+O(terms); only the recursion holds cells.  Level 0 builds no list: the
+cell of T(p, p+1) is its packed numerator divided by 2^64 - 1, one exact
+big-integer division (_base_cell).  A BracketLevel holds cells only,
+decoded when a bracket is read.  verify_range reads no list: with
 V = t^s N / (1 - t^2) and N the six-term numerator of top exponent h, the
 cell of <W(n,k)> times (1 - B^2) is -(-1)^k sum_e c_e B^(h - e), so each
 cell x is checked as x - (x << 64) against that packed sum, with
@@ -65,11 +66,12 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass, field
+from itertools import compress, count
 from operator import add, sub
 from typing import Callable, Iterator
 
 from .errors import InternalInconsistencyError, TagError
-from .laurent import LaurentPoly, _dense, _from_dense
+from .laurent import LaurentPoly, _from_dense
 from .wnk import (
     MAX_TERMS,
     _closed_form,
@@ -90,19 +92,6 @@ def _high(size: int) -> int:
     return int.from_bytes(b"\0\0\0\x80" * size, "little")
 
 
-def _pack(coeffs: list[int]) -> int:
-    """sum_j coeffs[j] 2^(32j) for |coeffs[j]| < 2^31.
-
-    The 32-bit two's complement slots, with their sign bits flipped, hold
-    coeffs[j] + 2^31; subtracting 2^31 per slot leaves the packed sum.
-    """
-    slots = array("i", coeffs)
-    if sys.byteorder == "big":
-        slots.byteswap()
-    high = _high(len(coeffs))
-    return (int.from_bytes(slots.tobytes(), "little") ^ high) - high
-
-
 def _unpack(x: int) -> list[int]:
     """The coefficients c_j of x = sum_j c_j 2^(32j), |c_j| < 2^31, top one nonzero.
 
@@ -121,9 +110,10 @@ def _unpack(x: int) -> list[int]:
 
 
 def _decode(cell: Cell) -> LaurentPoly:
-    """The A-polynomial of a cell."""
+    """The A-polynomial of a cell, held as a dict: its exponents step by 4."""
     lo, x = cell
-    return _from_dense(lo, _unpack(x), "A", 4)
+    coeffs = _unpack(x)
+    return LaurentPoly._new(dict(compress(zip(count(lo, 4), coeffs), coeffs)), "A")
 
 
 def _torus_numerator(p: int, q: int) -> list[tuple[int, int]]:
@@ -143,15 +133,6 @@ def _torus_dense(p: int, q: int) -> tuple[int, list[int]]:
 def torus_jones(p: int, q: int) -> LaurentPoly:
     """Jones polynomial of the (p,q) torus knot, p, q >= 1 coprime, under the span rule."""
     return _from_dense(*_torus_dense(p, q))
-
-
-def _jones_cell(n: int, k: int, lo: int, v: list[int]) -> Cell:
-    """The cell of <W(n,k)> = (-1)^k A^(3w) V(A^-4), w the writhe, V's list (lo, v).
-
-    It is v read backwards with sign (-1)^k, from A^(3w - 4 * V's top exponent).
-    """
-    x = _pack(v[::-1])
-    return 3 * writhe_wnk(n, k) - 4 * (lo + len(v) - 1), -x if k % 2 else x
 
 
 def _base_cell(n: int) -> Cell:
@@ -244,21 +225,6 @@ def s_prime(n: int, k: int) -> LaurentPoly:
     )
 
 
-def _cell(p: LaurentPoly) -> Cell:
-    """The packed cell of an A-polynomial whose exponents lie in one class mod 4."""
-    if not p:
-        return 0, 0
-    lo = p.min_exp
-    coeffs = [0] * ((p.max_exp - lo) // 4 + 1)
-    for e, c in p:
-        if (e - lo) & 3:
-            raise InternalInconsistencyError(
-                f"A-exponents {lo} and {e} of one bracket differ mod 4"
-            )
-        coeffs[(e - lo) >> 2] = c
-    return lo, _pack(coeffs)
-
-
 def _cell_add(x: Cell, y: Cell, op: Callable[[int, int], int] = add) -> Cell:
     """x + y (op=add) or x - y (op=sub): one big-integer add.
 
@@ -324,7 +290,9 @@ def _next_level(prev: BracketLevel, lo: int, hi: int) -> BracketLevel:
     # where summing each S_n from scratch would cost O(width^2).  S_-1 comes
     # from s_sum only because perfbench/test_perfbench_checks.py counts its calls.
     k, cells = prev.k, prev.values
-    sums = {-1: _cell(s_sum(-1, prev)), 0: _lookup(cells, k, -2)}
+    if s_sum(-1, prev):
+        raise InternalInconsistencyError(f"level k={k}: S_-1 is not zero")
+    sums = {-1: (0, 0), 0: _lookup(cells, k, -2)}
     for n in range(1, max(hi, -lo - 2) + 1):
         lo_g, g = _lookup(cells, k, n - 2)  # g_(-n)
         lo_h, h = _lookup(cells, k, -n - 2)  # g_n
@@ -449,29 +417,18 @@ def bracket_wnk(n: int, k: int) -> LaurentPoly:
     return bracket_levels(abs(n), k)[k].bracket(n)
 
 
-def _class_offset(n: int, k: int, cell: Cell) -> int:
-    """lo - 3w for the cell (lo, coeffs) of <W(n,k)>, w the writhe.
+def _class_offset(n: int, k: int, lo: int) -> int:
+    """lo - 3w for an A-exponent lo of a nonzero <W(n,k)>, w the writhe.
 
-    <W(n,k)> = (-1)^k A^(3w) V with V a t-polynomial and t = A^-4, so a
-    nonzero cell's lo - 3w must be 0 mod 4 (zero has no class).
+    <W(n,k)> = (-1)^k A^(3w) V with V a t-polynomial and t = A^-4, so
+    lo - 3w must be 0 mod 4.
     """
-    lo, x = cell
     e = lo - 3 * writhe_wnk(n, k)
-    if x and e & 3:
+    if e & 3:
         raise InternalInconsistencyError(
             f"A-exponent {e} not divisible by 4; writhe/bracket mismatch"
         )
     return e
-
-
-def _cell_to_jones(n: int, k: int, cell: Cell) -> LaurentPoly:
-    """V_{W(n,k)} from the cell of <W(n,k)> = (-1)^k A^(3w) V, w the writhe.
-
-    t = A^-4 takes A^(lo + 4j) to t^((3w - lo)/4 - j); lo - 3w must be 0 mod 4.
-    """
-    e = _class_offset(n, k, cell)
-    x = cell[1]
-    return _from_dense(-e // 4, _unpack(-x if k % 2 else x), "t", -1)
 
 
 def _cell_is_jones(n: int, k: int, cell: Cell) -> bool:
@@ -484,28 +441,40 @@ def _cell_is_jones(n: int, k: int, cell: Cell) -> bool:
     size, so the packed comparison is the polynomial one.
     """
     top, shift, packed = _packed_numerator(n, k)
-    if _class_offset(n, k, cell) != 8 - 4 * (top + shift):
+    lo, x = cell
+    if not x or _class_offset(n, k, lo) != 8 - 4 * (top + shift):
         return False
-    x = cell[1]
     return x - (x << 64) == (packed if k % 2 else -packed)
 
 
 def bracket_to_jones(n: int, k: int, bracket: LaurentPoly) -> LaurentPoly:
     """Normalize a bracket of W(n,k) by its writhe and substitute t = A^-4.
 
-    <W(n,k)> = (-1)^k A^(3w) V_{W(n,k)}, w the writhe of W(n,k).  _cell
-    checks that the exponents share one class mod 4, _cell_to_jones that it is 3w's.
+    <W(n,k)> = (-1)^k A^(3w) V_{W(n,k)}, w the writhe of W(n,k).  The
+    exponents must share one class mod 4, and it must be 3w's; then A^e
+    goes to (-1)^k t^((3w - e)/4).  Only the terms are visited.
     """
     if bracket.variable != "A":
         raise TagError("bracket must be an A-polynomial")
-    return _cell_to_jones(n, k, _cell(bracket))
+    terms = bracket.items()
+    if not terms:
+        return LaurentPoly.zero()
+    lo = terms[0][0]
+    for e, _ in terms:
+        if (e - lo) & 3:
+            raise InternalInconsistencyError(
+                f"A-exponents {lo} and {e} of one bracket differ mod 4"
+            )
+    w3 = lo - _class_offset(n, k, lo)
+    sign = -1 if k % 2 else 1
+    return LaurentPoly._new({(w3 - e) >> 2: sign * c for e, c in terms}, "t")
 
 
 def jones_to_bracket(n: int, k: int, v: LaurentPoly) -> LaurentPoly:
-    """Inverse of bracket_to_jones: _jones_cell of V's list, decoded."""
+    """Inverse of bracket_to_jones: (-1)^k A^(3w) V(A^-4) on V's terms."""
     if v.variable != "t":
         raise TagError("Jones polynomial must be a t-polynomial")
-    return _decode(_jones_cell(n, k, *(_dense(v) if v else (0, []))))
+    return v.substitute_power(-4, "A").scale((-1) ** k, 3 * writhe_wnk(n, k))
 
 
 def verify_range(

@@ -356,27 +356,6 @@ def _start_points(a):
     return np.exp(1j * turn - np.repeat(slopes, counts))
 
 
-def _dft(a, size: int):
-    """sum_j a_j x_k^j at x_k = exp(-2 pi i k / size), size a power of two.
-
-    One radix-2 FFT, vectorised: 16-point DFTs by one matrix product, then
-    one butterfly per doubling.
-    """
-    import numpy as np
-
-    x = np.zeros(size, complex)
-    x[: len(a)] = a
-    m = min(size, 16)
-    n = np.arange(m)
-    out = np.exp(-2j * np.pi / m * np.outer(n, n)) @ x.reshape(m, -1)
-    while out.shape[0] < size:
-        half = out.shape[1] // 2
-        twiddle = np.exp(-1j * np.pi / out.shape[0] * np.arange(out.shape[0]))
-        even, odd = out[:, :half], out[:, half:] * twiddle[:, None]
-        out = np.vstack([even + odd, even - odd])
-    return out.ravel()
-
-
 def _aberth_measure(coeffs: list[int]) -> Optional[float]:
     """The Mahler measure from the Aberth-Ehrlich iteration, or None if unchecked.
 
@@ -462,7 +441,7 @@ def _aberth_measure(coeffs: list[int]) -> Optional[float]:
     scale = np.where(outer, -1 / z, 1)
     factors = np.multiply.outer(scale, np.exp(-2j * np.pi / size * np.arange(size)))
     factors += np.where(outer, 1, -z)[:, None]
-    err = np.abs(lead * factors.prod(axis=0) - _dft(a, size)).max()
+    err = np.abs(lead * factors.prod(axis=0) - np.fft.fft(a, size)).max()
     if not err <= _SET_TOL * _EPS * np.abs(a).sum():
         return None
     return float(abs(lead))

@@ -9,8 +9,8 @@ A-world values cannot be combined silently.
 
 Values are immutable; every operation returns a fresh polynomial.
 
-A polynomial holds its terms in one of two forms.  Whatever
-`_from_dense` builds with step 1 keeps the dense form: the lowest
+A polynomial holds its terms in one of two forms.  Whatever nonzero
+polynomial `_from_dense` builds keeps the dense form: the lowest
 exponent and the coefficient tuple with its zero ends trimmed.  Every
 other polynomial holds a sparse dict {exponent: coefficient}, so a sparse
 input of huge span stays O(terms).  A dense-built polynomial makes its
@@ -348,16 +348,14 @@ def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
     return lo, out
 
 
-def _from_dense(
-    lo: int, coeffs: list[int], variable: str = "t", step: int = 1
-) -> LaurentPoly:
-    """The polynomial sum_j coeffs[j] x^(lo + step*j).
+def _from_dense(lo: int, coeffs: list[int], variable: str = "t") -> LaurentPoly:
+    """The polynomial sum_j coeffs[j] x^(lo + j).
 
-    With step 1 the polynomial keeps coeffs, its zero ends trimmed, as its
-    dense form; other steps, and an all-zero list, give a dict.
+    It keeps coeffs, its zero ends trimmed, as its dense form; an all-zero
+    list gives the zero polynomial.
     """
-    if step != 1 or not any(coeffs):
-        return LaurentPoly._new(dict(compress(zip(count(lo, step), coeffs), coeffs)), variable)
+    if not any(coeffs):
+        return LaurentPoly._new({}, variable)
     # first and last nonzero entries, found at C speed
     first = next(compress(count(), coeffs))
     last = len(coeffs) - next(compress(count(1), reversed(coeffs)))

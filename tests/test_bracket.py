@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 from operator import add, sub
 
 import pytest
@@ -9,17 +11,13 @@ import cyclojones.wnk
 from cyclojones.bracket import (
     BracketLevel,
     _base_cell,
-    _cell,
     _cell_add,
-    _cell_to_jones,
     _check_budget,
     _check_slots,
-    _jones_cell,
+    _decode,
     _level_terms,
     _next_level,
-    _pack,
     _ranges,
-    _torus_dense,
     _unpack,
     bracket_levels,
     bracket_to_jones,
@@ -32,7 +30,7 @@ from cyclojones.bracket import (
     verify_range,
 )
 from cyclojones.errors import InexactDivisionError, InternalInconsistencyError, TagError
-from cyclojones.laurent import LaurentPoly, _from_dense, parse_poly
+from cyclojones.laurent import LaurentPoly, parse_poly
 from cyclojones.wnk import (
     MAX_TERMS,
     _jones_dense,
@@ -57,6 +55,11 @@ def packed(lo, coeffs):
     return lo, sum(c << 32 * j for j, c in enumerate(coeffs))
 
 
+def cell_poly(lo, coeffs):
+    """The A-polynomial sum_j coeffs[j] A^(lo + 4j), on its term dict."""
+    return LaurentPoly({lo + 4 * j: c for j, c in enumerate(coeffs)}, "A")
+
+
 def cell_terms(n, j):
     """span(d_polynomial(n, j)) - 1, the terms the budget counts for cell (n, j)."""
     e = d_exponents(n, j)
@@ -74,10 +77,10 @@ def reference_refuses(n_abs_max, k_max):
     return False
 
 
-def list_route_cell(n):
-    """The cell of <W(n,0)> from T(n', n'+1)'s list, divided by _closed_form."""
+def torus_bracket(n):
+    """<W(n,0)> from T(n', n'+1)'s V, divided by _closed_form, through jones_to_bracket."""
     p = n if n >= 0 else -1 - n
-    return _jones_cell(n, 0, *(_torus_dense(p, p + 1) if p else (0, [1])))
+    return jones_to_bracket(n, 0, torus_jones(p, p + 1) if p else LaurentPoly.one())
 
 
 def read_ranges(n_abs_max, k_max):
@@ -195,12 +198,12 @@ class TestBracketBase:
         for n in level.values:
             m = n if n >= 0 else -1 - n
             v = torus_jones(m, m + 1) if m else LaurentPoly.one()
-            assert level.values[n] == _cell(reference_bracket(n, 0, v))
+            assert _decode(level.values[n]) == reference_bracket(n, 0, v)
 
     def test_division_matches_the_list_route(self):
         # one exact big-integer division per cell against _closed_form's list
         for n in range(-800, 801):
-            assert _base_cell(n) == list_route_cell(n)
+            assert _decode(_base_cell(n)) == torus_bracket(n)
 
     @pytest.mark.parametrize("index", range(4))
     @pytest.mark.parametrize("moved, sign", [(0, -1), (1, 1)], ids=["sign flipped", "moved by t"])
@@ -251,7 +254,7 @@ class TestSSum:
         assert s_sum(-5, level) == -s_sum(3, level)
 
     def test_window_error(self):
-        small = BracketLevel(0, {0: _cell(bracket_wnk_base(0))})
+        small = BracketLevel(0, {0: _base_cell(0)})
         with pytest.raises(InternalInconsistencyError, match="no entry for n="):
             s_sum(4, small)
 
@@ -362,7 +365,7 @@ class TestDecodeOnRead:
         def refuse(*args):
             raise AssertionError("a bracket was decoded to a polynomial")
 
-        monkeypatch.setattr(cyclojones.bracket, "_from_dense", refuse)
+        monkeypatch.setattr(cyclojones.bracket, "_decode", refuse)
         monkeypatch.setattr(BracketLevel, "bracket", refuse)
         monkeypatch.setattr(cyclojones.bracket, "bracket_to_jones", refuse)
         assert all(ok for _, _, ok in verify_range(-a, a, 0, k))
@@ -391,18 +394,19 @@ class TestNoPolynomialOnTheSweep:
 
 
 class TestCellToJones:
-    def test_matches_bracket_to_jones(self):
+    """Every cell a level holds, decoded, goes to the closed form's V by bracket_to_jones."""
+
+    def test_every_cell_gives_jones(self):
         for level in bracket_levels(12, 8):
             for n, cell in level.values.items():
-                expected = bracket_to_jones(n, level.k, level.bracket(n))
-                assert _cell_to_jones(n, level.k, cell) == expected
+                assert bracket_to_jones(n, level.k, _decode(cell)) == jones_wnk(n, level.k)
 
     @pytest.mark.parametrize("moved", [1, 2, -1])
     def test_moved_offset_raises(self, moved):
         for n, k in ((1, 1), (-2, 2), (3, 0)):
             lo, coeffs = bracket_levels(3, 2)[k].values[n]
             with pytest.raises(InternalInconsistencyError, match="not divisible by 4"):
-                _cell_to_jones(n, k, (lo + moved, coeffs))
+                bracket_to_jones(n, k, _decode((lo + moved, coeffs)))
 
 
 class TestTrimmedCells:
@@ -523,13 +527,9 @@ class TestPackedCells:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(-(2**31) + 1, 2**31 - 1), max_size=40).filter(lambda c: not c or c[-1]))
     def test_pack_and_unpack(self, coeffs):
-        x = _pack(coeffs)
-        assert x == sum(c << 32 * j for j, c in enumerate(coeffs))
+        lo, x = packed(5, coeffs)
         assert _unpack(x) == coeffs
-
-    def test_pack_refuses_a_wide_coefficient(self):
-        with pytest.raises(OverflowError):
-            _pack([1, 2**31])
+        assert _decode((lo, x)) == cell_poly(lo, coeffs)
 
 
 class TestSlotGuard:
@@ -539,12 +539,12 @@ class TestSlotGuard:
 
     @pytest.mark.parametrize("coeffs", [[7], [-8], [1, -8, 7, 0, -1], [-8] * 30, [0, 0, 7]])
     def test_coefficients_in_range_pass(self, coeffs):
-        _check_slots(self.level_of(_pack(coeffs)))
+        _check_slots(self.level_of(packed(0, coeffs)[1]))
 
     @pytest.mark.parametrize("coeffs", [[8], [-9], [1, 8, -1], [1, -1, 9], [2**31 - 1], [-(2**31) + 1, 1]])
     def test_coefficient_past_the_guard_raises(self, coeffs):
         with pytest.raises(InternalInconsistencyError, match="outside"):
-            _check_slots(self.level_of(_pack(coeffs)))
+            _check_slots(self.level_of(packed(0, coeffs)[1]))
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.integers(), st.integers(-(2**200), 2**200).map(lambda x: x << 96)))
@@ -590,7 +590,7 @@ def shifted_base_level(monkeypatch):
 
 
 def one_term_off(monkeypatch):
-    # a bracket with one term outside its class is no cell: _cell refuses it
+    # a bracket with one term outside its class: bracket_to_jones refuses it
     b = bracket_wnk_base(1)
     bracket_to_jones(1, 0, b + LaurentPoly({b.max_exp + 1: 1}, "A"))
 
@@ -616,11 +616,11 @@ class TestModFourCheck:
         ids=["apart", "inside", "overlapping"],
     )
     def test_sum_and_difference(self, x, y):
-        px, py = (_from_dense(lo, c, "A", 4) for lo, c in (x, y))
+        px, py = cell_poly(*x), cell_poly(*y)
         x, y = packed(*x), packed(*y)
         for op in (add, sub):
             for (lo, s), expected in ((_cell_add(x, y, op), op(px, py)), (_cell_add(y, x, op), op(py, px))):
-                assert _from_dense(lo, balanced_slots(s), "A", 4) == expected
+                assert cell_poly(lo, balanced_slots(s)) == expected
 
     @pytest.mark.parametrize(
         "plant", [shifted_base_level, one_term_off], ids=["whole cell shifted", "one term off"]
@@ -631,10 +631,10 @@ class TestModFourCheck:
 
     def test_narrow_window_names_the_missing_cell(self):
         # n -3..3 reads n -5..1: every cell but the lowest
-        level = BracketLevel(0, {n: _cell(bracket_wnk_base(n)) for n in range(-4, 2)})
+        level = BracketLevel(0, {n: _base_cell(n) for n in range(-4, 2)})
         with pytest.raises(InternalInconsistencyError, match="no entry for n=-5"):
             _next_level(level, -3, 3)
-        level.values[-5] = _cell(bracket_wnk_base(-5))
+        level.values[-5] = _base_cell(-5)
         assert list(_next_level(level, -3, 3).values) == list(range(-3, 4))
 
 
@@ -687,9 +687,9 @@ class TestBracketWnk:
         def reached(s, d):
             raise Reached
 
-        reference = list_route_cell(2**19 - 1)  # n = -2^19 has the same writhe, so the same cell
+        reference = torus_bracket(2**19 - 1)  # n = -2^19 has the same writhe, so the same bracket
         for n in (2**19 - 1, -(2**19)):
-            assert _base_cell(n) == reference
+            assert _decode(_base_cell(n)) == reference
         for n in (2**19, -(2**19) - 1):
             with pytest.raises(ValueError, match=r"^T\(524288,524289\): .* budget"):
                 bracket_wnk(n, 0)
@@ -735,6 +735,77 @@ class TestConversion:
             bracket_to_jones(0, 0, parse_poly("t"))
         with pytest.raises(TagError):
             jones_to_bracket(0, 0, LaurentPoly.one("A"))
+
+    @staticmethod
+    def timed(convert, *args):
+        """convert(*args), or the InternalInconsistencyError it raised, within 1 s and 10 MB."""
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            out = convert(*args)
+        except InternalInconsistencyError as exc:
+            out = exc
+        finally:
+            seconds = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert seconds < 1 and peak < 10 * 2**20, (seconds, peak)
+        return out
+
+    @pytest.mark.parametrize(
+        "convert, n, k, p, expected",
+        [
+            (
+                jones_to_bracket, 0, 0,
+                LaurentPoly({0: 1, 2 * 10**7: -1, -(2 * 10**7): 1}),
+                LaurentPoly({0: 1, -(8 * 10**7): -1, 8 * 10**7: 1}, "A"),
+            ),
+            (
+                bracket_to_jones, 1, 1,  # writhe 3: every A-exponent is 9 mod 4
+                LaurentPoly({9 - 4 * 10**7: 1, 9: -1, 9 + 4 * 10**7: 2}, "A"),
+                LaurentPoly({10**7: -1, 0: 1, -(10**7): -2}),
+            ),
+        ],
+        ids=["jones_to_bracket", "bracket_to_jones"],
+    )
+    def test_wide_sparse_input_stays_sparse(self, convert, n, k, p, expected):
+        # three terms spanning 4 * 10^7 t-exponents or 8 * 10^7 A-exponents: no list of that span
+        assert self.timed(convert, n, k, p) == expected
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            # mixed classes are named before the wrong class of the lowest exponent
+            (
+                {-(4 * 10**7) + 1: 1, 2: -1, 4 * 10**7: 1},
+                "A-exponents -39999999 and 2 of one bracket differ mod 4",
+            ),
+            (
+                {-(4 * 10**7): 1, 1: -1, 4 * 10**7: 1},
+                "A-exponents -40000000 and 1 of one bracket differ mod 4",
+            ),
+            (
+                {-(4 * 10**7) + 2: 1, 2: -1, 4 * 10**7 + 2: 1},
+                "A-exponent -39999998 not divisible by 4; writhe/bracket mismatch",
+            ),
+        ],
+        ids=["both", "mixed", "wrong class"],
+    )
+    def test_planted_wide_bracket_raises(self, terms, message):
+        exc = self.timed(bracket_to_jones, 0, 0, LaurentPoly(terms, "A"))
+        assert isinstance(exc, InternalInconsistencyError) and str(exc) == message
+
+    def test_public_oracle(self):
+        # the recursion's bracket through the public conversion, n < 0 and k = 0 included
+        for k in range(7):
+            for n in range(-12, 13):
+                assert bracket_to_jones(n, k, bracket_wnk(n, k)) == jones_wnk(n, k), (n, k)
+
+    def test_nonzero_s_minus_one_raises(self, monkeypatch):
+        # S_-1 = 0 seeds each level; a nonzero one stops the recursion
+        monkeypatch.setattr(cyclojones.bracket, "s_sum", lambda n, level: LaurentPoly.one("A"))
+        with pytest.raises(InternalInconsistencyError, match="^level k=0: S_-1 is not zero$"):
+            bracket_levels(2, 1)
 
 
 class TestOracleEquivalence:

@@ -610,11 +610,6 @@ class TestDenseForm:
         for p in (phi(1), phi(12), parse_poly("t^-1 - 1 + t")):
             assert p._cs is None
 
-    def test_other_steps_keep_a_dict(self):
-        p = _from_dense(1, [1, 0, -1], "A", 4)
-        assert p._cs is None and has_dict(p)
-        assert p == LaurentPoly({1: 1, 9: -1}, "A")
-
     def test_wide_sparse_input_stays_sparse(self):
         p = LaurentPoly({10**12: 1, 0: -1, -(10**12): 1})
         residue(p, 7)  # the first call fills the cache of phi(7)

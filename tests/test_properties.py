@@ -6,7 +6,7 @@ the costly side, so its property runs fewer examples.
 
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cyclojones.wnk
 from cyclojones.bracket import bracket_to_jones, bracket_wnk, jones_to_bracket
@@ -46,6 +46,18 @@ def test_closed_form_matches_bracket_recursion(member):
     bracket = bracket_wnk(n, k)
     assert bracket_to_jones(n, k, bracket) == v
     assert jones_to_bracket(n, k, v) == bracket
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(-200, 200), st.integers(0, 60)))
+@example((-200, 0)).via("n < 0, k = 0")
+@example((-1, 60)).via("n = -1")
+@example((200, 60)).via("the corner")
+def test_jones_to_bracket_and_back(member):
+    # the two conversions are inverse on every V, on its terms alone
+    n, k = member
+    v = jones_wnk(n, k)
+    assert bracket_to_jones(n, k, jones_to_bracket(n, k, v)) == v
 
 
 @given(members)
