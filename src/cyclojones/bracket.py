@@ -47,10 +47,10 @@ decoded when a bracket is read.  verify_range reads no list: with
 V = t^s N / (1 - t^2) and N the six-term numerator of top exponent h, the
 cell of <W(n,k)> times (1 - B^2) is -(-1)^k sum_e c_e B^(h - e), so each
 cell x is checked as x - (x << 64) against that packed sum, with
-lo = 3w - 4(h + s - 2).  wnk._packed_numerator builds the packed sum from
-N's six unmerged terms in integer arithmetic and asserts the closed form's
-theorems (N(1) = N(-1) = 0, V(1) = 1, V'(1) = 0) on them: they are linear
-in the terms, so merging cannot change them.
+lo = 3w - 4(h + s - 2).  A level is checked one row at a time: the packed
+sums come from wnk._packed_row by integer steps along n, 3w by its second
+difference, and the closed form's theorems (N(1) = N(-1) = 0, V(1) = 1,
+V'(1) = 0) are proved once, for every (n, k), by wnk._prove_numerator.
 
 Before any level is built, the levels are budgeted: cell (n, j) counts
 max(e) - min(e) - 1 terms, e the six exponents of d_polynomial(n, j).
@@ -76,7 +76,8 @@ from .wnk import (
     MAX_TERMS,
     _closed_form,
     _merged,
-    _packed_numerator,
+    _packed_row,
+    _prove_numerator,
     _span_rule,
     d_exponents,
     writhe_wnk,
@@ -139,7 +140,7 @@ def _base_cell(n: int) -> Cell:
     """The cell of <W(n,0)>, i.e. of T(p, p+1), p = n for n >= 0 and -1-n below.
 
     With V = t^s N / (1 - t^2), the cell times 1 - B^2 is
-    -sum_e c_e B^(h - e), h N's top exponent (_cell_is_jones at k = 0).  So
+    -sum_e c_e B^(h - e), h N's top exponent (verify_range's check at k = 0).  So
     the cell is N packed from the top, sum_e c_e 2^(32 (h - e)), divided by
     2^64 - 1, from lo = 3w - 4(s + h - 2).  Modulo 2^64 - 1 the packed N is
     E + 2^32 O, E and O the sums of the c_e at even and at odd h - e, each
@@ -417,34 +418,18 @@ def bracket_wnk(n: int, k: int) -> LaurentPoly:
     return bracket_levels(abs(n), k)[k].bracket(n)
 
 
-def _class_offset(n: int, k: int, lo: int) -> int:
-    """lo - 3w for an A-exponent lo of a nonzero <W(n,k)>, w the writhe.
+def _class_offset(lo: int, w3: int) -> int:
+    """lo - 3w for an A-exponent lo of a nonzero <W(n,k)>, w3 = 3w and w the writhe.
 
     <W(n,k)> = (-1)^k A^(3w) V with V a t-polynomial and t = A^-4, so
     lo - 3w must be 0 mod 4.
     """
-    e = lo - 3 * writhe_wnk(n, k)
+    e = lo - w3
     if e & 3:
         raise InternalInconsistencyError(
             f"A-exponent {e} not divisible by 4; writhe/bracket mismatch"
         )
     return e
-
-
-def _cell_is_jones(n: int, k: int, cell: Cell) -> bool:
-    """Whether the cell of <W(n,k)> is the closed form's, checked on its packed numerator.
-
-    After the mod-4 check, V = t^s N / (1 - t^2) (N's theorems asserted by
-    _packed_numerator) fixes the cell: (1 - B^2) times it is
-    -(-1)^k sum_e c_e B^(h - e), h N's top exponent, from
-    lo = 3w - 4(h + s - 2).  Every coefficient involved is under 2^31 in
-    size, so the packed comparison is the polynomial one.
-    """
-    top, shift, packed = _packed_numerator(n, k)
-    lo, x = cell
-    if not x or _class_offset(n, k, lo) != 8 - 4 * (top + shift):
-        return False
-    return x - (x << 64) == (packed if k % 2 else -packed)
 
 
 def bracket_to_jones(n: int, k: int, bracket: LaurentPoly) -> LaurentPoly:
@@ -465,7 +450,8 @@ def bracket_to_jones(n: int, k: int, bracket: LaurentPoly) -> LaurentPoly:
             raise InternalInconsistencyError(
                 f"A-exponents {lo} and {e} of one bracket differ mod 4"
             )
-    w3 = lo - _class_offset(n, k, lo)
+    w3 = 3 * writhe_wnk(n, k)
+    _class_offset(lo, w3)
     sign = -1 if k % 2 else 1
     return LaurentPoly._new({(w3 - e) >> 2: sign * c for e, c in terms}, "t")
 
@@ -480,13 +466,13 @@ def jones_to_bracket(n: int, k: int, v: LaurentPoly) -> LaurentPoly:
 def verify_range(
     n_lo: int, n_hi: int, k_lo: int, k_hi: int
 ) -> list[tuple[int, int, bool]]:
-    """Compare closed form and bracket recursion cell by cell.
+    """Compare closed form and bracket recursion cell by cell, one row at a time.
 
     Levels are computed once for the whole sweep; results are ordered by
-    (k, n).  Each packed cell is checked against the closed form's six-term
-    numerator (_cell_is_jones): no LaurentPoly and no list is built on
-    either side.  Every entry should be True: disagreement means a bug,
-    not a property of the knot.
+    (k, n).  A zero cell is a mismatch, and a nonzero one outside 3w's
+    class mod 4 raises.  No LaurentPoly and no list is built on either
+    side.  Every entry should be True: disagreement means a bug, not a
+    property of the knot.
     """
     if n_lo > n_hi:
         raise ValueError(f"empty n range: n_lo={n_lo} > n_hi={n_hi}")
@@ -494,11 +480,21 @@ def verify_range(
         raise ValueError(f"empty k range: k_lo={k_lo} > k_hi={k_hi}")
     if k_lo < 0:
         raise ValueError(f"k_lo={k_lo} is negative; k must be >= 0")
-    n_abs_max = max(abs(n_lo), abs(n_hi))
-    levels = bracket_levels(n_abs_max, k_hi)
+    _prove_numerator()
+    levels = bracket_levels(max(abs(n_lo), abs(n_hi)), k_hi)
+    ns = range(n_lo, n_hi + 1)
     results = []
     for k in range(k_lo, k_hi + 1):
-        cells = levels[k].values
-        for n in range(n_lo, n_hi + 1):
-            results.append((n, k, _cell_is_jones(n, k, _lookup(cells, k, n))))
+        cells = map(levels[k].values.__getitem__, ns)
+        w0, w1, w2 = (3 * writhe_wnk(n, k) for n in range(n_lo, n_lo + 3))
+        w3, step, bend = w0, w1 - w0, w2 - 2 * w1 + w0
+        odd = k & 1
+        for n, (lo, x), (top, shift, packed) in zip(ns, cells, _packed_row(k, n_lo, n_hi)):
+            # packed is not 0 (sum e*c = -2 is proved), so a zero cell fails
+            ok = lo - w3 == 8 - 4 * (top + shift) and x - (x << 64) == (packed if odd else -packed)
+            if not ok and x:
+                _class_offset(lo, w3)  # raises for a nonzero cell outside 3w's class
+            results.append((n, k, ok))
+            w3 += step
+            step += bend
     return results

@@ -15,9 +15,10 @@ exponent and the coefficient tuple with its zero ends trimmed.  Every
 other polynomial holds a sparse dict {exponent: coefficient}, so a sparse
 input of huge span stays O(terms).  A dense-built polynomial makes its
 dict only when a method that needs one first asks for it.  `items`,
-`len`, `min_exp`, `max_exp`, `value_and_derivative_at_one`, `_dense`,
-`_fold` and `poly_to_json` read the dense form directly, at C speed.  No
-dense form is ever made from a dict.
+`coeff`, `len`, `min_exp`, `max_exp`, `is_symmetric`, the (anti)palindromic
+shifts, `value_and_derivative_at_one`, `_dense`, `_fold` and
+`poly_to_json` read the dense form directly, at C speed, and `reversed`
+keeps it.  No dense form is ever made from a dict.
 
 The module holds the package's one long division, `_long_division` on
 dense coefficient lists (`_dense` and `_from_dense` convert; `_fold`
@@ -44,7 +45,7 @@ from __future__ import annotations
 import cmath
 import re
 from itertools import accumulate, compress, count
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import InexactDivisionError, ParseError, TagError
@@ -281,11 +282,17 @@ class LaurentPoly:
     # -- symmetry predicates -----------------------------------------------
 
     def reversed(self) -> "LaurentPoly":
-        """P(x^-1)."""
+        """P(x^-1); a dense form stays dense."""
+        cs = self._cs
+        if cs is not None:
+            return _from_dense(-self.max_exp, cs[::-1], self._variable)
         return self._new({-e: c for e, c in self._terms.items()}, self._variable)
 
     def is_symmetric(self) -> bool:
         """True iff P(x^-1) == P(x)."""
+        cs = self._cs
+        if cs is not None:
+            return 2 * self._lo + len(cs) == 1 and cs == cs[::-1]
         return all(self._terms.get(-e) == c for e, c in self._terms.items())
 
     def palindromic_shift(self) -> Optional[int]:
@@ -297,6 +304,9 @@ class LaurentPoly:
         if not self:
             raise ValueError("palindromic shift undefined for the zero polynomial")
         n = -self.max_exp - self.min_exp
+        cs = self._cs
+        if cs is not None:  # a dense form's ends are nonzero: compare it with its reverse
+            return n if cs == cs[::-1] else None
         return n if self.reversed() == self.shift(n) else None
 
     def antipalindromic_shift(self) -> Optional[int]:
@@ -304,6 +314,9 @@ class LaurentPoly:
         if not self:
             raise ValueError("antipalindromic shift undefined for the zero polynomial")
         a = -self.max_exp - self.min_exp
+        cs = self._cs
+        if cs is not None:
+            return a if cs == tuple(map(neg, reversed(cs))) else None
         return a if self.reversed() == self.scale(-1, a) else None
 
     def value_and_derivative_at_one(self) -> tuple[int, int]:

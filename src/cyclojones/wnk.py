@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from operator import sub
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .arith import PRIME_TEST_LIMIT, isprime
 from .cyclotomic import phi_tilde
@@ -147,6 +148,13 @@ def _assert_numerator(n: int, k: int, exponents: tuple[int, ...], shift: int) ->
     sum e^2*c = 4 (shift - 1) V(1) - 4 V'(1), so V(1) = 1, V'(1) = 0 read
     sum e*c = -2 and sum e^2*c = 4 shift - 4.  A failure raises
     InternalInconsistencyError.
+
+    Nine points prove them for all (n, k) (_prove_numerator).  Each e is
+    a + b n + c k + d n k with integers a..d and shift has degree 2 in each
+    variable, so sum e*c + 2 and sum e^2*c - 4 shift + 4 have degree <= 2 in
+    n and in k: zero at n, k in {0, 1, 2}, each is zero for all n at k = 0,
+    1, 2 (three roots), so for all k.  N(1) = sum c is constant, and N(-1)
+    reads each e mod 2, a function of n and k mod 2: four classes, all on the grid.
     """
     e0, e1, e2, e3, e4, e5 = exponents
     c0, c1, c2, c3, c4, c5 = _N_SIGNS
@@ -168,30 +176,50 @@ def _assert_numerator(n: int, k: int, exponents: tuple[int, ...], shift: int) ->
         )
 
 
-def _packed_numerator(n: int, k: int) -> tuple[int, int, int]:
-    """(top, shift, packed) for N of V_W(n,k) = t^shift * N / (1 - t^2), theorems asserted.
+def _prove_numerator() -> None:
+    """Prove _assert_numerator's theorems for every (n, k) on the grid n, k in {0, 1, 2}.
 
-    N = sum c_i t^(e_i) over d_exponents' six terms, unmerged.  packed is
-    sum c_i 2^(32 (E - e_i)), E the largest e_i, with its zero low slots
-    (N's cancelled top terms) dropped, and top = E minus the slots dropped
-    is N's top exponent: packed = sum_e c_e 2^(32 (top - e)) over N's
-    merged terms, the packing of bracket's cells (three + and three -
-    terms, so every |c_e| <= 3).  No term budget is checked here: the
-    caller bounds the span, as verify_range's does.  k >= 0.
+    Their premise, zero second differences of each exponent along n and k, is checked too.
     """
-    exponents = d_exponents(n, k)
-    shift = _shift(n, k)
-    _assert_numerator(n, k, exponents, shift)
-    e0, e1, e2, e3, e4, e5 = exponents
+    rows = [[d_exponents(n, k) for k in range(3)] for n in range(3)]
+    for points in (*rows, *zip(*rows)):  # three points along k, then along n
+        if any(a - 2 * b + c for a, b, c in zip(*points)):
+            raise InternalInconsistencyError(f"numerator exponents {points} are not bilinear")
+    for n, row in enumerate(rows):
+        for k, exponents in enumerate(row):
+            _assert_numerator(n, k, exponents, _shift(n, k))
+
+
+def _packed_row(k: int, n_lo: int, n_hi: int) -> Iterator[tuple[int, int, int]]:
+    """(top, shift, packed) for N of V_W(n,k) = t^shift * N / (1 - t^2), n = n_lo..n_hi.
+
+    N = sum c_i t^(e_i) over d_exponents' six terms, top is its top exponent
+    and packed = sum_e c_e 2^(32 (top - e)) over its merged terms (|c_e| <= 3),
+    as bracket packs cells.  The e_i (affine in n) and shift (quadratic) are
+    stepped by adds.  The caller proves N's theorems (_prove_numerator), so
+    N != 0, and bounds the span, as verify_range's does.  k >= 0.
+    """
+    e0, e1, e2, e3, e4, e5 = base = d_exponents(n_lo, k)
+    a0, a1, a2, a3, a4, a5 = map(sub, d_exponents(n_lo + 1, k), base)
+    s0, s1, s2 = (_shift(n, k) for n in range(n_lo, n_lo + 3))
+    shift, step, bend = s0, s1 - s0, s2 - 2 * s1 + s0
     c0, c1, c2, c3, c4, c5 = _N_SIGNS
-    top = max(exponents)
-    packed = (
-        (c0 << 32 * (top - e0)) + (c1 << 32 * (top - e1)) + (c2 << 32 * (top - e2))
-        + (c3 << 32 * (top - e3)) + (c4 << 32 * (top - e4)) + (c5 << 32 * (top - e5))
-    )
-    # N != 0, since sum e*c = -2: drop its zero low slots as bracket._cell_add does
-    z = ((packed & -packed).bit_length() - 1) >> 5
-    return top - z, shift, packed >> 32 * z
+    for _ in range(n_hi - n_lo + 1):
+        top = max(e0, e1, e2, e3, e4, e5)
+        packed = (
+            (c0 << 32 * (top - e0)) + (c1 << 32 * (top - e1)) + (c2 << 32 * (top - e2))
+            + (c3 << 32 * (top - e3)) + (c4 << 32 * (top - e4)) + (c5 << 32 * (top - e5))
+        )
+        z = ((packed & -packed).bit_length() - 1) >> 5  # zero low slots: N's cancelled top
+        yield top - z, shift, packed >> 32 * z
+        e0 += a0
+        e1 += a1
+        e2 += a2
+        e3 += a3
+        e4 += a4
+        e5 += a5
+        shift += step
+        step += bend
 
 
 def _jones_dense(n: int, k: int) -> tuple[int, list[int]]:

@@ -35,7 +35,8 @@ from cyclojones.wnk import (
     MAX_TERMS,
     _jones_dense,
     _numerator,
-    _packed_numerator,
+    _packed_row,
+    _prove_numerator,
     d_exponents,
     jones_wnk,
     writhe_wnk,
@@ -477,13 +478,18 @@ class TestBudgetClosedForm:
             assert sum(_level_terms(j, lo, hi) for j, (lo, hi) in enumerate(_ranges(a, k))) == total
 
 
+def merged_packing(n, k):
+    """(top, shift, packed) of N at W(n,k), read from its merged terms."""
+    terms, shift = _numerator(n, k)
+    top = terms[-1][0]
+    return top, shift, packed_terms(terms, top)
+
+
 class TestPackedNumerator:
     @pytest.mark.parametrize("k", range(31))
     def test_matches_the_merged_terms(self, k):
-        for n in range(-60, 61):
-            terms, shift = _numerator(n, k)
-            top = terms[-1][0]
-            assert _packed_numerator(n, k) == (top, shift, packed_terms(terms, top))
+        # one row, n -60..60, stepped from its first points
+        assert list(_packed_row(k, -60, 60)) == [merged_packing(n, k) for n in range(-60, 61)]
 
     @pytest.mark.parametrize(
         "cells, pair",
@@ -495,19 +501,17 @@ class TestPackedNumerator:
         ids=["k=0", "n=0", "n=-1"],
     )
     def test_coinciding_terms_cancel(self, cells, pair):
+        # each cell read inside a whole row, n -60..60, that passes through it
         i, j = pair
         for n, k in cells:
             e = d_exponents(n, k)
             assert e[i] == e[j]
-            terms, shift = _numerator(n, k)
-            assert len(terms) < 6
-            top = terms[-1][0]
-            assert _packed_numerator(n, k) == (top, shift, packed_terms(terms, top))
+            assert len(_numerator(n, k)[0]) < 6
+            assert list(_packed_row(k, -60, 60))[n + 60] == merged_packing(n, k)
 
     def test_cancelled_top_slots_dropped(self):
         # k = 0, n <= -2: the top raw terms +t - t cancel, so N's top lies below max(e)
-        for n in range(-60, -1):
-            top, _, packed = _packed_numerator(n, 0)
+        for n, (top, _, packed) in zip(range(-60, -1), _packed_row(0, -60, -2)):
             assert top < max(d_exponents(n, 0))
             assert packed & 0xFFFFFFFF
 
@@ -814,35 +818,45 @@ class TestOracleEquivalence:
         assert len(results) == 105
         assert all(ok for _, _, ok in results)
 
+    @pytest.mark.parametrize("bounds", [(-3, 7, 2, 5), (5, 5, 0, 4), (-9, -9, 0, 3), (-1, 0, 7, 7)])
+    def test_windows(self, bounds):
+        # rows that start at either sign of n, one cell wide included: the
+        # stepped exponents, shift and writhe agree with every cell
+        n_lo, n_hi, k_lo, k_hi = bounds
+        assert verify_range(*bounds) == [
+            (n, k, True) for k in range(k_lo, k_hi + 1) for n in range(n_lo, n_hi + 1)
+        ]
+
     @pytest.mark.parametrize("shift, sign", [(1, 1), (-1, 1), (0, -1)])
     def test_planted_closed_form_mismatches(self, monkeypatch, shift, sign):
         # a closed form off by t^shift (its cell's lo off by 4) or by sign
         # disagrees with its cell only
-        true_numerator = cyclojones.bracket._packed_numerator
+        true_row = cyclojones.bracket._packed_row
 
-        def planted(n, k):
-            top, s, packed = true_numerator(n, k)
-            if (n, k) == (3, 2):
-                return top, s + shift, sign * packed
-            return top, s, packed
+        def planted(k, n_lo, n_hi):
+            for n, (top, s, packed) in enumerate(true_row(k, n_lo, n_hi), n_lo):
+                if (n, k) == (3, 2):
+                    yield top, s + shift, sign * packed
+                else:
+                    yield top, s, packed
 
-        monkeypatch.setattr(cyclojones.bracket, "_packed_numerator", planted)
+        monkeypatch.setattr(cyclojones.bracket, "_packed_row", planted)
         results = verify_range(-4, 4, 0, 3)
         assert [(n, k) for n, k, ok in results if not ok] == [(3, 2)]
 
     @pytest.mark.parametrize("index", [0, 2, -1], ids=["lowest", "middle", "top"])
     def test_planted_numerator_term_mismatches(self, monkeypatch, index):
         # one of N's merged terms with its sign flipped, past the theorem checks
-        true_numerator = cyclojones.bracket._packed_numerator
+        true_row = cyclojones.bracket._packed_row
 
-        def planted(n, k):
-            top, s, packed = true_numerator(n, k)
-            if (n, k) == (-2, 3):
-                e, c = _numerator(n, k)[0][index]
-                packed -= 2 * c << 32 * (top - e)
-            return top, s, packed
+        def planted(k, n_lo, n_hi):
+            for n, (top, s, packed) in enumerate(true_row(k, n_lo, n_hi), n_lo):
+                if (n, k) == (-2, 3):
+                    e, c = _numerator(n, k)[0][index]
+                    packed -= 2 * c << 32 * (top - e)
+                yield top, s, packed
 
-        monkeypatch.setattr(cyclojones.bracket, "_packed_numerator", planted)
+        monkeypatch.setattr(cyclojones.bracket, "_packed_row", planted)
         results = verify_range(-4, 4, 0, 3)
         assert [(n, k) for n, k, ok in results if not ok] == [(-2, 3)]
 
@@ -873,6 +887,29 @@ class TestOracleEquivalence:
             monkeypatch.setattr(cyclojones.wnk, "_N_SIGNS", signs)
         with pytest.raises(InternalInconsistencyError, match="numerator"):
             verify_range(0, 0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "name, planted, match",
+        [
+            ("d_exponents", lambda true: lambda n, k: (*true(n, k)[:3], k * (n + 3) + 2, *true(n, k)[4:]),
+             r"^W\(0,0\): numerator"),
+            ("_N_SIGNS", lambda true: (true[1], true[0], *true[2:]), r"^W\(0,0\): numerator"),
+            # zero at n = 0 and at k = 0, 1: the first grid point it reaches is W(1,2)
+            ("_shift", lambda true: lambda n, k: true(n, k) + n * k * (k - 1) // 2,
+             r"^W\(1,2\): numerator"),
+            ("d_exponents", lambda true: lambda n, k: (true(n, k)[0] + k * k, *true(n, k)[1:]),
+             "^numerator exponents .* not bilinear"),
+        ],
+        ids=["e3 + 1", "signs swapped", "shift + nk(k-1)/2", "e0 + k^2"],
+    )
+    def test_planted_proof_fault_raises(self, monkeypatch, name, planted, match):
+        # the grid proof runs once per call, before any level is built
+        monkeypatch.setattr(cyclojones.wnk, name, planted(getattr(cyclojones.wnk, name)))
+        monkeypatch.setattr(cyclojones.bracket, "bracket_levels", None)
+        with pytest.raises(InternalInconsistencyError, match=match):
+            verify_range(-6, 8, 0, 5)
+        with pytest.raises(InternalInconsistencyError, match=match):
+            _prove_numerator()
 
     @pytest.mark.parametrize(
         "bounds, match",

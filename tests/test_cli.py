@@ -92,16 +92,16 @@ class TestVerifyCommand:
 
     @staticmethod
     def _flip_two_cells(monkeypatch):
-        true_numerator = cyclojones.bracket._packed_numerator
+        true_row = cyclojones.bracket._packed_row
 
-        def flipped(n, k):
-            top, shift, packed = true_numerator(n, k)
-            if (n, k) in ((2, 0), (0, 1)):
-                e, c = cyclojones.wnk._numerator(n, k)[0][0]
-                packed -= 2 * c << 32 * (top - e)  # flip N's lowest term
-            return top, shift, packed
+        def flipped(k, n_lo, n_hi):
+            for n, (top, shift, packed) in enumerate(true_row(k, n_lo, n_hi), n_lo):
+                if (n, k) in ((2, 0), (0, 1)):
+                    e, c = cyclojones.wnk._numerator(n, k)[0][0]
+                    packed -= 2 * c << 32 * (top - e)  # flip N's lowest term
+                yield top, shift, packed
 
-        monkeypatch.setattr(cyclojones.bracket, "_packed_numerator", flipped)
+        monkeypatch.setattr(cyclojones.bracket, "_packed_row", flipped)
 
     def test_injected_fault_exits_2(self, capsys, monkeypatch):
         # mismatches are listed in (k, n) order, the order verify_range returns
@@ -117,6 +117,23 @@ class TestVerifyCommand:
         assert json.loads(out) == {
             "total": 6, "ok": 4, "mismatches": [{"n": 2, "k": 0}, {"n": 0, "k": 1}]
         }
+
+    @pytest.mark.parametrize(
+        "name, planted",
+        [
+            ("d_exponents", lambda true: lambda n, k: (*true(n, k)[:3], k * (n + 3) + 2, *true(n, k)[4:])),
+            ("_N_SIGNS", lambda true: (true[1], true[0], *true[2:])),
+            ("_shift", lambda true: lambda n, k: true(n, k) + n * k * (k - 1) // 2),
+            ("d_exponents", lambda true: lambda n, k: (true(n, k)[0] + k * k, *true(n, k)[1:])),
+        ],
+        ids=["e3 + 1", "signs swapped", "shift + nk(k-1)/2", "e0 + k^2"],
+    )
+    def test_planted_proof_fault_exits_2(self, capsys, monkeypatch, name, planted):
+        # the closed form's theorems, proved once per call on the grid n, k in {0, 1, 2}
+        monkeypatch.setattr(cyclojones.wnk, name, planted(getattr(cyclojones.wnk, name)))
+        code, out, err = run(capsys, "verify")
+        assert code == 2 and not out
+        assert "numerator" in err
 
     def test_writhe_fault_exits_2(self, capsys, monkeypatch):
         true_writhe = cyclojones.bracket.writhe_wnk

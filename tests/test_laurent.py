@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import cyclojones.cyclotomic
 from cyclojones import laurent
-from cyclojones.cyclotomic import euler_totient, residue
+from cyclojones.cyclotomic import _cyclotomic_multiplicities, euler_totient, residue
 from cyclojones.obstructions import special_value_check
 from cyclojones.errors import InexactDivisionError, ParseError, TagError
 from cyclojones.laurent import (
@@ -562,6 +562,21 @@ class TestDenseForm:
         assert dense.value_and_derivative_at_one() == sparse.value_and_derivative_at_one()
         assert json.dumps(poly_to_json(dense)) == json.dumps(poly_to_json(sparse))
         assert print_poly(dense) == print_poly(sparse)
+        # the symmetry readers on the list, on its mirror about t^0 and on its
+        # antipalindromic mirror, in both forms
+        mirror = coeffs + [1] + coeffs[::-1]
+        anti = coeffs + [0] + [-c for c in reversed(coeffs)]
+        for low, cs in ((lo, coeffs), (-len(coeffs), mirror), (lo, anti)):
+            p, q = both_forms(low, cs)
+            assert p.is_symmetric() == q.is_symmetric()
+            assert p.reversed().items() == q.reversed().items()
+            assert (p.reversed()._cs is None) == (p._cs is None)
+            if q:
+                assert p.palindromic_shift() == q.palindromic_shift()
+                assert p.antipalindromic_shift() == q.antipalindromic_shift()
+        assert all(p.is_symmetric() for p in both_forms(-len(coeffs), mirror))
+        if any(coeffs):
+            assert all(p.antipalindromic_shift() is not None for p in both_forms(lo, anti))
 
     @settings(max_examples=100, deadline=None)
     @given(dense_lists(), dense_lists())
@@ -591,6 +606,14 @@ class TestDenseForm:
         v.value_and_derivative_at_one(), poly_to_json(v), special_value_check(v)
         assert not has_dict(v)
         assert v.coeff(1) == 1 and not has_dict(v)
+        # non-symmetric, symmetric, palindromic off t^0 and antipalindromic
+        for p in (v, _from_dense(-2, [1, -1, 1, -1, 1]), _from_dense(3, [2, 1, 2]), _from_dense(0, [1, 0, -1])):
+            p.is_symmetric(), p.palindromic_shift(), p.antipalindromic_shift()
+            r = p.reversed()
+            assert r._cs is not None and not has_dict(r) and not has_dict(p)
+        # so deciding a cyclotomic product reads the tuple only
+        w = _from_dense(-2, [1, -1, 1, -1, 1])
+        assert _cyclotomic_multiplicities(w) == [(10, 1)] and not has_dict(w)
         assert v == _from_dense(-2, [1, -1, 0, 1, -1, 1])
 
     def test_dense_copy_is_fresh(self):
