@@ -65,10 +65,9 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress, count
-from operator import add, sub
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import InternalInconsistencyError, TagError
 from .laurent import LaurentPoly, _from_dense
@@ -122,18 +121,14 @@ def _torus_numerator(p: int, q: int) -> list[tuple[int, int]]:
     return [(0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)]
 
 
-def _torus_dense(p: int, q: int) -> tuple[int, list[int]]:
-    """V of the (p,q) torus knot as (lowest exponent, coefficients)."""
+def torus_jones(p: int, q: int) -> LaurentPoly:
+    """Jones polynomial of the (p,q) torus knot, p, q >= 1 coprime, under the span rule."""
     if p < 1 or q < 1:
         raise ValueError("torus parameters must be >= 1")
     if math.gcd(p, q) != 1:
         raise ValueError(f"({p},{q}) is not coprime")
-    return _closed_form(_merged(_torus_numerator(p, q)), (p - 1) * (q - 1) // 2, "T", p, q)
-
-
-def torus_jones(p: int, q: int) -> LaurentPoly:
-    """Jones polynomial of the (p,q) torus knot, p, q >= 1 coprime, under the span rule."""
-    return _from_dense(*_torus_dense(p, q))
+    merged = _merged(_torus_numerator(p, q))
+    return _from_dense(*_closed_form(merged, (p - 1) * (q - 1) // 2, "T", p, q))
 
 
 def _base_cell(n: int) -> Cell:
@@ -189,7 +184,7 @@ class BracketLevel:
     """
 
     k: int
-    values: dict[int, Cell] = field(default_factory=dict)
+    values: dict[int, Cell]
 
     def bracket(self, n: int) -> LaurentPoly:
         return _decode(_lookup(self.values, self.k, n))
@@ -226,8 +221,8 @@ def s_prime(n: int, k: int) -> LaurentPoly:
     )
 
 
-def _cell_add(x: Cell, y: Cell, op: Callable[[int, int], int] = add) -> Cell:
-    """x + y (op=add) or x - y (op=sub): one big-integer add.
+def _cell_add(x: Cell, y: Cell) -> Cell:
+    """x + y: one big-integer add.
 
     The operand with the higher offset is shifted up by 8 bits per unit
     of offset (32 bits per power of B = A^4).  Only a sum of two cells
@@ -242,17 +237,17 @@ def _cell_add(x: Cell, y: Cell, op: Callable[[int, int], int] = add) -> Cell:
     if not b:
         return x
     if not a:
-        return lo_y, op(0, b)
+        return y
     d = lo_y - lo
     if d & 3:
         raise InternalInconsistencyError(
             f"adding A-exponents {lo} and {lo_y}, which differ mod 4"
         )
     if d > 0:
-        return lo, op(a, b << 8 * d)
+        return lo, a + (b << 8 * d)
     if d < 0:
-        return lo_y, op(a << -8 * d, b)
-    s = op(a, b)
+        return lo_y, (a << -8 * d) + b
+    s = a + b
     z = ((s & -s).bit_length() - 1) >> 5 if s else 0  # zero low slots
     return lo + 4 * z, s >> 32 * z
 
@@ -305,7 +300,7 @@ def _next_level(prev: BracketLevel, lo: int, hi: int) -> BracketLevel:
             s = -s
         # A^n (A^-1 - A^3) S_n = A^(n-1) (1 - B) S_n
         lo_p, p = _lookup(cells, k, n - 2)
-        out[n] = _cell_add((lo_s + n - 1, s - (s << 32)), (lo_p + 2 * n - 1, p), sub)
+        out[n] = _cell_add((lo_s + n - 1, s - (s << 32)), (lo_p + 2 * n - 1, -p))
     level = BracketLevel(k + 1, out)
     _check_slots(level)
     return level

@@ -15,10 +15,12 @@ exponent and the coefficient tuple with its zero ends trimmed.  Every
 other polynomial holds a sparse dict {exponent: coefficient}, so a sparse
 input of huge span stays O(terms).  A dense-built polynomial makes its
 dict only when a method that needs one first asks for it.  `items`,
-`coeff`, `len`, `min_exp`, `max_exp`, `is_symmetric`, the (anti)palindromic
-shifts, `value_and_derivative_at_one`, `_dense`, `_fold` and
-`poly_to_json` read the dense form directly, at C speed, and `reversed`
-keeps it.  No dense form is ever made from a dict.
+`coeff`, `len`, `min_exp`, `max_exp`, the (anti)palindromic shifts,
+`value_and_derivative_at_one`, `_dense`, `_fold` and `poly_to_json` read
+the dense form directly, at C speed; `is_symmetric` reads it through
+`palindromic_shift`, and `reversed` keeps it.  No dense form is ever made
+from a dict.  Terms merge by one rule, `_accumulate`, which drops every
+coefficient that cancels: construction, sums, products and wnk._merged.
 
 The module holds the package's one long division, `_long_division` on
 dense coefficient lists (`_dense` and `_from_dense` convert; `_fold`
@@ -73,16 +75,8 @@ class LaurentPoly:
     def __init__(self, terms: TermsLike = None, variable: str = "t"):
         if variable not in VARIABLES:
             raise ValueError(f"unknown variable tag {variable!r}")
-        data: dict[int, int] = {}
-        if terms is not None:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for e, c in items:
-                c = data.get(e, 0) + c
-                if c:
-                    data[e] = c
-                elif e in data:
-                    del data[e]
-        self._terms = data
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        self._terms = _accumulate({}, items or ())
         self._variable = variable
         self._cs = None
 
@@ -204,14 +198,7 @@ class LaurentPoly:
 
     def __add__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
         other = self._coerce(other)
-        data = dict(self._terms)
-        for e, c in other._terms.items():
-            c = data.get(e, 0) + c
-            if c:
-                data[e] = c
-            elif e in data:
-                del data[e]
-        return self._new(data, self._variable)
+        return self._new(_accumulate(dict(self._terms), other._terms.items()), self._variable)
 
     __radd__ = __add__
 
@@ -228,16 +215,8 @@ class LaurentPoly:
         other = self._coerce(other)
         # iterate the smaller factor on the outside
         a, b = (self, other) if len(self) <= len(other) else (other, self)
-        data: dict[int, int] = {}
-        for e1, c1 in a._terms.items():
-            for e2, c2 in b._terms.items():
-                e = e1 + e2
-                c = data.get(e, 0) + c1 * c2
-                if c:
-                    data[e] = c
-                elif e in data:
-                    del data[e]
-        return self._new(data, self._variable)
+        terms = ((e1 + e2, c1 * c2) for e1, c1 in a._terms.items() for e2, c2 in b._terms.items())
+        return self._new(_accumulate({}, terms), self._variable)
 
     __rmul__ = __mul__
 
@@ -290,10 +269,7 @@ class LaurentPoly:
 
     def is_symmetric(self) -> bool:
         """True iff P(x^-1) == P(x)."""
-        cs = self._cs
-        if cs is not None:
-            return 2 * self._lo + len(cs) == 1 and cs == cs[::-1]
-        return all(self._terms.get(-e) == c for e, c in self._terms.items())
+        return not self or self.palindromic_shift() == 0
 
     def palindromic_shift(self) -> Optional[int]:
         """The unique n with P(x^-1) == x^n * P(x), or None.
@@ -303,21 +279,21 @@ class LaurentPoly:
         """
         if not self:
             raise ValueError("palindromic shift undefined for the zero polynomial")
-        n = -self.max_exp - self.min_exp
-        cs = self._cs
-        if cs is not None:  # a dense form's ends are nonzero: compare it with its reverse
-            return n if cs == cs[::-1] else None
-        return n if self.reversed() == self.shift(n) else None
+        return self._reflection_shift(1)
 
     def antipalindromic_shift(self) -> Optional[int]:
         """The unique a with P(x^-1) == -x^a * P(x), or None.  Requires P != 0."""
         if not self:
             raise ValueError("antipalindromic shift undefined for the zero polynomial")
-        a = -self.max_exp - self.min_exp
+        return self._reflection_shift(-1)
+
+    def _reflection_shift(self, sign: int) -> Optional[int]:
+        """The n with P(x^-1) == sign * x^n * P(x), or None, for P != 0 and sign +-1."""
+        n = -self.max_exp - self.min_exp
         cs = self._cs
-        if cs is not None:
-            return a if cs == tuple(map(neg, reversed(cs))) else None
-        return a if self.reversed() == self.scale(-1, a) else None
+        if cs is not None:  # a dense form's ends are nonzero: compare it with its reverse
+            return n if cs == (cs[::-1] if sign > 0 else tuple(map(neg, reversed(cs)))) else None
+        return n if self.reversed() == self.scale(sign, n) else None
 
     def value_and_derivative_at_one(self) -> tuple[int, int]:
         """(P(1), P'(1)) by exact summation."""
@@ -345,6 +321,17 @@ class LaurentPoly:
             raise ValueError("order must be >= 1")
         terms = self._terms.items()
         return sum((c * cmath.exp(2j * cmath.pi * (e * j % order) / order) for e, c in terms), 0j)
+
+
+def _accumulate(data: dict[int, int], terms: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Add terms into data and return it; a coefficient that cancels is dropped."""
+    for e, c in terms:
+        c = data.get(e, 0) + c
+        if c:
+            data[e] = c
+        elif e in data:
+            del data[e]
+    return data
 
 
 def _dense(p: LaurentPoly) -> tuple[int, list[int]]:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 from .arith import PRIME_TEST_LIMIT, isprime
 from .cyclotomic import phi_tilde
 from .errors import InexactDivisionError, InternalInconsistencyError
-from .laurent import MAX_TERMS, LaurentPoly, _from_dense, _stride_div, poly_to_json
+from .laurent import MAX_TERMS, LaurentPoly, _accumulate, _from_dense, _stride_div, poly_to_json
 
 
 class FamilyParams(NamedTuple):
@@ -87,10 +87,7 @@ def d_polynomial(n: int, k: int) -> LaurentPoly:
 
 def _merged(terms: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """A nonzero sum's terms, ascending: equal exponents add, zeros drop, no budget."""
-    merged: dict[int, int] = {}
-    for e, c in terms:
-        merged[e] = merged.get(e, 0) + c
-    return sorted((e, c) for e, c in merged.items() if c)
+    return sorted(_accumulate({}, terms).items())
 
 
 def _span_rule(merged: list[tuple[int, int]], knot: str, p: int, q: int) -> None:
@@ -156,19 +153,12 @@ def _assert_numerator(n: int, k: int, exponents: tuple[int, ...], shift: int) ->
     1, 2 (three roots), so for all k.  N(1) = sum c is constant, and N(-1)
     reads each e mod 2, a function of n and k mod 2: four classes, all on the grid.
     """
-    e0, e1, e2, e3, e4, e5 = exponents
-    c0, c1, c2, c3, c4, c5 = _N_SIGNS
-    at_one = c0 + c1 + c2 + c3 + c4 + c5
-    # N(-1) = N(1) - 2 * (the coefficients at odd exponents)
-    at_minus_one = at_one - 2 * (
-        c0 * (e0 & 1) + c1 * (e1 & 1) + c2 * (e2 & 1)
-        + c3 * (e3 & 1) + c4 * (e4 & 1) + c5 * (e5 & 1)
-    )
-    first = c0 * e0 + c1 * e1 + c2 * e2 + c3 * e3 + c4 * e4 + c5 * e5
-    second = (
-        c0 * e0 * e0 + c1 * e1 * e1 + c2 * e2 * e2
-        + c3 * e3 * e3 + c4 * e4 * e4 + c5 * e5 * e5
-    )
+    at_one = at_minus_one = first = second = 0
+    for e, c in zip(exponents, _N_SIGNS):
+        at_one += c
+        at_minus_one += -c if e & 1 else c
+        first += c * e
+        second += c * e * e
     if at_one or at_minus_one or first != -2 or second != 4 * shift - 4:
         raise InternalInconsistencyError(
             f"W({n},{k}): numerator N(1)={at_one}, N(-1)={at_minus_one}, "

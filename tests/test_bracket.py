@@ -607,12 +607,12 @@ class TestModFourCheck:
             _cell_add(packed(0, [1]), packed(6, [1, -1]))
         # zero has no class
         assert _cell_add(packed(1, []), packed(6, [1])) == packed(6, [1])
-        assert _cell_add(packed(6, [1]), packed(1, []), sub) == packed(6, [1])
-        assert _cell_add(packed(1, []), packed(6, [1]), sub) == packed(6, [-1])
+        assert _cell_add(packed(6, [1]), packed(1, [])) == packed(6, [1])
+        assert _cell_add(packed(1, []), packed(6, [-1])) == packed(6, [-1])
         # a sum that cancels drops its zero low slots; the top has none
-        assert _cell_add(packed(2, [1, 2, 3]), packed(2, [1, 5, 3]), sub) == packed(6, [-3])
+        assert _cell_add(packed(2, [1, 2, 3]), packed(2, [-1, -5, -3])) == packed(6, [-3])
         assert _cell_add(packed(2, [1, 2]), packed(-2, [3, -1, -2])) == packed(-2, [3])
-        assert _cell_add(packed(2, [1]), packed(2, [1]), sub)[1] == 0
+        assert _cell_add(packed(2, [1]), packed(2, [-1]))[1] == 0
 
     @pytest.mark.parametrize(
         "x, y",
@@ -622,8 +622,9 @@ class TestModFourCheck:
     def test_sum_and_difference(self, x, y):
         px, py = cell_poly(*x), cell_poly(*y)
         x, y = packed(*x), packed(*y)
-        for op in (add, sub):
-            for (lo, s), expected in ((_cell_add(x, y, op), op(px, py)), (_cell_add(y, x, op), op(py, px))):
+        for op in (add, sub):  # x - y is x plus the negated cell of y
+            sums = (_cell_add(x, (y[0], op(0, y[1]))), _cell_add(y, (x[0], op(0, x[1]))))
+            for (lo, s), expected in zip(sums, (op(px, py), op(py, px))):
                 assert cell_poly(lo, balanced_slots(s)) == expected
 
     @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import cyclojones.cyclotomic
 from cyclojones import laurent
 from cyclojones.cyclotomic import _cyclotomic_multiplicities, euler_totient, residue
 from cyclojones.obstructions import special_value_check
+from cyclojones.wnk import _merged
 from cyclojones.errors import InexactDivisionError, ParseError, TagError
 from cyclojones.laurent import (
     VARIABLES,
@@ -47,6 +48,20 @@ class TestRingOps:
         q = P("t^-1 + 1") + LaurentPoly({0: -1})
         assert q == P("t^-1")
         assert q.items() == [(-1, 1)]
+
+    @pytest.mark.parametrize(
+        "merge, expected",
+        [
+            (lambda: LaurentPoly([(2, 1), (-1, 1), (2, -1), (3, 0)])._terms, {-1: 1}),
+            (lambda: (V_41 + (-V_41))._terms, {}),
+            (lambda: (P("1 + t") * P("1 - t"))._terms, {0: 1, 2: -1}),
+            (lambda: _merged([(2, 1), (-1, 1), (2, -1), (3, 0)]), [(-1, 1)]),
+        ],
+        ids=["construction", "p + (-p)", "(1 + t)(1 - t)", "wnk._merged"],
+    )
+    def test_cancelled_terms_leave_no_key(self, merge, expected):
+        # every entry point takes the one merge rule: a cancelled exponent keeps no key
+        assert merge() == expected
 
     def test_alternating_factor_times_t_plus_one(self):
         # (t+1)(t^4 - t^3 + t^2 - t + 1) == t^5 + 1
@@ -306,6 +321,24 @@ class TestSymmetryPredicates:
     def test_palindromic_shift_zero_rejected(self):
         with pytest.raises(ValueError):
             LaurentPoly.zero().palindromic_shift()
+
+    @pytest.mark.parametrize("method", ["palindromic_shift", "antipalindromic_shift"])
+    def test_zero_shift_names_its_method(self, method):
+        message = "^" + method.replace("_", " ") + " undefined for the zero polynomial"
+        for zero in (LaurentPoly.zero(), _from_dense(4, [0, 0])):
+            assert zero.is_symmetric()
+            with pytest.raises(ValueError, match=message):
+                getattr(zero, method)()
+
+    @pytest.mark.parametrize(
+        "lo, coeffs",
+        [(-2, [1, -1, 1, -1, 1]), (3, [2, 1, 2]), (-1, [1, 0, 1]), (0, [1, 1, 1]), (0, [-1, 1]), (0, [5])],
+        ids=["V_41", "2t^3 + t^4 + 2t^5", "t^-1 + t", "1 + t + t^2", "t - 1", "5"],
+    )
+    def test_symmetric_means_shift_zero(self, lo, coeffs):
+        symmetric = 2 * lo + len(coeffs) == 1 and coeffs == coeffs[::-1]
+        for p in both_forms(lo, coeffs):  # dense, then dict
+            assert p.is_symmetric() == (p.palindromic_shift() == 0) == symmetric
 
     def test_antipalindromic_shift_values(self):
         assert P("t^2 - 1").antipalindromic_shift() == -2
