@@ -6,8 +6,13 @@ products Phi~_{2m} (m odd), reduces Laurent polynomials modulo Phi_n
 polynomials that are a monomial times a product of cyclotomic
 polynomials.  The cyclotomic exponent sequence P = +-prod (1 - x^d)^e_d
 decides that question and names the factors; exact division by those
-factors alone confirms them.  The Mahler measure of a cyclotomic product
-is exactly 1; other inputs are measured numerically.
+factors alone confirms them.  The decision costs its stride passes, one
+over the series per unit of |e_d|, and refuses past MAX_DECISION_WORK
+entries passed.  The rest is O(sum of tau(d)) over the few d with
+e_d != 0: the degree is sum d e_d, since sum_{n | d} phi(n) = d (Gauss),
+and Phi_n's multiplicity is the sum of e_d over the multiples d of n,
+named by walking each d's divisors.  The Mahler measure of a cyclotomic
+product is exactly 1; other inputs are measured numerically.
 """
 
 from __future__ import annotations
@@ -217,16 +222,18 @@ def _index_bound(deg: int) -> int:
     return deg * primes_prod // totient_prod
 
 
-def _exponent_sequence(series: list[int], budget: int) -> Optional[list[int]]:
-    """The e_d with series == prod (1 - x^d)^e_d modulo x^len(series).
+def _exponent_sequence(series: list[int], budget: int) -> Optional[dict[int, int]]:
+    """The nonzero e_d, as {d: e_d}, with series == prod (1 - x^d)^e_d modulo x^len(series).
 
     series is ascending with constant term 1, and is overwritten.  Once
     the factors below d are divided out, e_d is minus the x^d coefficient;
-    (1 - x^d)^e_d is then divided out too, one stride pass per unit of
-    |e_d|.  Returns None as soon as sum |e_d| exceeds budget.
+    (1 - x^d)^e_d is then divided out too, one stride pass over the series
+    per unit of |e_d|, so the cost is sum |e_d| * len(series) entries.
+    Returns None as soon as sum |e_d| exceeds budget; raises ValueError
+    before a pass that would take the entries passed over MAX_DECISION_WORK.
     """
     top = len(series)
-    exps = [0] * top
+    exps = {}
     used = 0
     for d in range(1, top):
         e = -series[d]
@@ -235,6 +242,10 @@ def _exponent_sequence(series: list[int], budget: int) -> Optional[list[int]]:
         used += abs(e)
         if used > budget:
             return None
+        if used * top > MAX_DECISION_WORK:
+            raise ValueError(f"deciding a cyclotomic product takes at least {used} stride "
+                             f"passes over {top} terms, over the work budget of "
+                             f"{MAX_DECISION_WORK} terms passed")
         exps[d] = e
         for _ in range(e):
             _stride_div(series, d, exact=False)
@@ -244,7 +255,7 @@ def _exponent_sequence(series: list[int], budget: int) -> Optional[list[int]]:
 
 
 def _cyclotomic_multiplicities(p: LaurentPoly) -> Optional[list[tuple[int, int]]]:
-    """The (n, m_n) with P == sign * x^a * prod Phi_n^m_n, or None.
+    """The (n, m_n) with P == sign * x^a * prod Phi_n^m_n, n ascending, or None.
 
     Decided by the exponent sequence alone.  With P shifted to a
     polynomial of degree D and normalised to constant term 1, a product
@@ -252,10 +263,15 @@ def _cyclotomic_multiplicities(p: LaurentPoly) -> Optional[list[tuple[int, int]]
     multiples d of n, and each such n has phi(n) <= D, so n <= L =
     _index_bound(D).  The e_d are read from the power series of P modulo
     x^(L+1); sum |e_d| <= sum m_n 2^omega(n) <= 2D caps the work on other
-    inputs.  If every m_n >= 0 and sum m_n phi(n) == D, that product is a
-    polynomial of degree D <= L agreeing with P/P(0) modulo x^(L+1), so
-    the two are equal: a yes here is a theorem, not a guess.  A series of
-    over MAX_TERMS terms (past degree 189,294) raises ValueError first.
+    inputs.  The degree sum m_n phi(n) is sum e_d sum_{n | d} phi(n) =
+    sum d e_d (Gauss), so it needs no totient; the m_n are named by
+    walking the divisors of each d with e_d != 0, in O(#e_d * tau(d)),
+    not once per n <= L.  If every m_n >= 0 and the degree is D, that
+    product is a polynomial of degree D <= L agreeing with P/P(0) modulo
+    x^(L+1), so the two are equal: a yes here is a theorem, not a guess.
+    A series of over MAX_TERMS terms (past degree 189,294), or a decision
+    whose stride passes would pass over more than MAX_DECISION_WORK
+    entries, raises ValueError first.
     """
     if p.palindromic_shift() is None and p.antipalindromic_shift() is None:
         return None  # Phi_1 is antipalindromic and every other Phi_n palindromic
@@ -269,12 +285,22 @@ def _cyclotomic_multiplicities(p: LaurentPoly) -> Optional[list[tuple[int, int]]
                          f"of {top} terms, over the budget of {MAX_TERMS} terms")
     series = [c * const for c in _dense(p)[1]] + [0] * (top - deg - 1)
     exps = _exponent_sequence(series, 2 * deg)
-    if exps is None:
+    if exps is None or sum(d * e for d, e in exps.items()) != deg:
         return None
-    factors = [(n, m) for n in range(1, top) if (m := sum(exps[n::n]))]
-    if any(m < 0 for _, m in factors) or sum(euler_totient(n) * m for n, m in factors) != deg:
-        return None
-    return factors
+    factors = _divisor_sums(exps)
+    return None if any(m < 0 for _, m in factors) else factors
+
+
+def _divisor_sums(exps: dict[int, int]) -> list[tuple[int, int]]:
+    """The nonzero m_n = sum of e_d over the multiples d of n, as (n, m_n), n ascending.
+
+    Each e_d is added to the divisors of its d: O(sum of tau(d)) over the keys.
+    """
+    mults: dict[int, int] = {}
+    for d, e in exps.items():
+        for n in divisors(d):
+            mults[n] = mults.get(n, 0) + e
+    return sorted((n, m) for n, m in mults.items() if m)
 
 
 def is_cyclotomic_product(p: LaurentPoly) -> Optional[CyclotomicFactorization]:
@@ -285,7 +311,8 @@ def is_cyclotomic_product(p: LaurentPoly) -> Optional[CyclotomicFactorization]:
     the Phi_n it names are built, and each is divided out until it no
     longer divides, so every multiplicity returned is measured by exact
     division and the quotient left over must be exactly 1.  An input whose
-    exponent sequence is over the term budget is refused with ValueError.
+    exponent sequence is over the term or work budget is refused with
+    ValueError.
     """
     if not p:
         raise ValueError("the zero polynomial is not a cyclotomic product")
@@ -319,6 +346,12 @@ MAX_QR_DEGREE = 75
 # the Aberth iteration's largest arrays are D x D and D x K complex, K < 2 D + 2:
 # about 90 MB and under 1 s at this degree, where np.roots takes about 8 s
 MAX_NUMERIC_DEGREE = 2000
+# the exact decision's work budget, in series entries passed over: 2D stride
+# passes over _index_bound(D) + 1 entries at D = MAX_NUMERIC_DEGREE, so no
+# input that could be measured numerically is refused.  A seeded palindromic
+# input of degree 5000 with coefficients in -3..3 reaches it in about 3.4 s
+# (2 vCPUs, CPython 3.11), where its whole sequence would take about 25 s.
+MAX_DECISION_WORK = 2 * MAX_NUMERIC_DEGREE * (_index_bound(MAX_NUMERIC_DEGREE) + 1)
 _ABERTH_STEPS = 50
 _EPS = 2.0**-52
 # a_D prod (x - z_i) - P on the unit circle, in units of eps * ||a||_1:
@@ -454,7 +487,7 @@ def mahler_measure(p: LaurentPoly) -> float:
     sequence: its leading coefficient is +-1 and its roots are roots of
     unity (by Kronecker's theorem these are the only integer polynomials
     of measure 1 with P(0) != 0); an input whose decision is over the term
-    budget is refused with ValueError.  Any other input is measured
+    or work budget is refused with ValueError.  Any other input is measured
     numerically, and numpy is imported there, on first use.  Up to degree
     MAX_QR_DEGREE = 75 the roots come from np.roots.  Above it they come
     from the Aberth-Ehrlich iteration of _aberth_measure, whose whole root

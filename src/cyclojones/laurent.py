@@ -18,9 +18,10 @@ dict only when a method that needs one first asks for it.  `items`,
 `coeff`, `len`, `min_exp`, `max_exp`, the (anti)palindromic shifts,
 `value_and_derivative_at_one`, `_dense`, `_fold` and `poly_to_json` read
 the dense form directly, at C speed; `is_symmetric` reads it through
-`palindromic_shift`, and `reversed` keeps it.  No dense form is ever made
-from a dict.  Terms merge by one rule, `_accumulate`, which drops every
-coefficient that cancels: construction, sums, products and wnk._merged.
+`palindromic_shift`, and `reversed`, `scale` and `shift` keep it.  No
+dense form is ever made from a dict.  Terms merge by one rule,
+`_accumulate`, which drops every coefficient that cancels: construction,
+sums, products and wnk._merged.
 
 The module holds the package's one long division, `_long_division` on
 dense coefficient lists (`_dense` and `_from_dense` convert; `_fold`
@@ -221,9 +222,12 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, c: int, e: int = 0) -> "LaurentPoly":
-        """Multiply by the monomial c*x^e."""
+        """Multiply by the monomial c*x^e; a dense form stays dense."""
         if c == 0:
             return LaurentPoly.zero(self._variable)
+        cs = self._cs
+        if cs is not None:
+            return _from_dense(self._lo + e, [ci * c for ci in cs], self._variable)
         return self._new({ei + e: ci * c for ei, ci in self._terms.items()}, self._variable)
 
     def shift(self, e: int) -> "LaurentPoly":
@@ -342,10 +346,15 @@ def _dense(p: LaurentPoly) -> tuple[int, list[int]]:
     if p._cs is not None:
         return p._lo, list(p._cs)
     lo = p.min_exp
-    out = [0] * (p.max_exp - lo + 1)
-    for e, c in p._terms.items():
+    return lo, _fill(p._terms.items(), lo, p.max_exp)
+
+
+def _fill(terms: Iterable[tuple[int, int]], lo: int, hi: int) -> list[int]:
+    """Ascending coefficients on the exponents lo..hi from terms with distinct exponents there."""
+    out = [0] * (hi - lo + 1)
+    for e, c in terms:
         out[e - lo] = c
-    return lo, out
+    return out
 
 
 def _from_dense(lo: int, coeffs: list[int], variable: str = "t") -> LaurentPoly:

@@ -17,7 +17,15 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 from .arith import PRIME_TEST_LIMIT, isprime
 from .cyclotomic import phi_tilde
 from .errors import InexactDivisionError, InternalInconsistencyError
-from .laurent import MAX_TERMS, LaurentPoly, _accumulate, _from_dense, _stride_div, poly_to_json
+from .laurent import (
+    MAX_TERMS,
+    LaurentPoly,
+    _accumulate,
+    _fill,
+    _from_dense,
+    _stride_div,
+    poly_to_json,
+)
 
 
 class FamilyParams(NamedTuple):
@@ -110,9 +118,7 @@ def _closed_form(
     """
     _span_rule(merged, knot, p, q)
     lo = merged[0][0]
-    s = [0] * (merged[-1][0] - lo + 1)
-    for e, c in merged:
-        s[e - lo] = c
+    s = _fill(merged, lo, merged[-1][0])
     try:
         _stride_div(s, 2)
     except InexactDivisionError as exc:

@@ -1,5 +1,6 @@
 import json
 from functools import reduce
+from math import comb
 from operator import mul
 
 import mpmath
@@ -11,12 +12,17 @@ from sympy import divisors
 
 import cyclojones.cyclotomic
 from cyclojones.cli import main
+from cyclojones.arith import divisors as arith_divisors
 from cyclojones.cyclotomic import (
+    MAX_DECISION_WORK,
     MAX_NUMERIC_DEGREE,
     MAX_QR_DEGREE,
     _aberth_measure,
     _cyclotomic_multiplicities,
+    _divisor_sums,
+    _exponent_sequence,
     _index_bound,
+    _net_exponents,
     euler_totient,
     is_cyclotomic_product,
     mahler_measure,
@@ -314,6 +320,109 @@ class TestSeriesBudget:
                 decide(p)
 
 
+class TestWorkBudget:
+    """The decision passes over at most MAX_DECISION_WORK series entries.
+
+    Each unit of |e_d| is one stride pass over the series of _index_bound(D)
+    + 1 entries, and a pass that would take the count past the budget is
+    refused with ValueError before it is made.
+    """
+
+    def test_budget_covers_the_numeric_degree_budget(self):
+        # a decision makes at most 2D passes, so no degree mahler_measure
+        # could measure numerically reaches the budget, and the next one can
+        work = [2 * deg * (_index_bound(deg) + 1) for deg in range(1, MAX_NUMERIC_DEGREE + 2)]
+        assert max(work[:-1]) == MAX_DECISION_WORK < work[-1]
+
+    def test_edge_on_one_input(self, monkeypatch):
+        # V_W(64,32), degree 2176: e_d at four d, so four passes over 10,473 entries
+        v = jones_wnk(64, 32)
+        assert _index_bound(v.span()) + 1 == 10473
+        monkeypatch.setattr(cyclojones.cyclotomic, "MAX_DECISION_WORK", 4 * 10473)
+        assert _cyclotomic_multiplicities(v) == [(14, 1), (622, 1), (4354, 1)]
+        monkeypatch.setattr(cyclojones.cyclotomic, "MAX_DECISION_WORK", 4 * 10473 - 1)
+        with pytest.raises(ValueError, match=r"^deciding a cyclotomic product takes at least 4 stride passes over 10473 terms"):
+            _cyclotomic_multiplicities(v)
+
+    def test_edge_at_the_budget(self):
+        # (1 - t^a)^40 takes 40 passes over _index_bound(40 a) + 1 entries:
+        # 38,501,000 at a = 4344 and 38,509,840 at a = 4345, around 38,504,000
+        def power(a):
+            return LaurentPoly({a * i: (-1) ** i * comb(40, i) for i in range(41)})
+
+        assert 40 * (_index_bound(40 * 4344) + 1) <= MAX_DECISION_WORK < 40 * (_index_bound(40 * 4345) + 1)
+        assert _cyclotomic_multiplicities(power(4344)) == [(n, 40) for n in arith_divisors(4344)]
+        for decide in (_cyclotomic_multiplicities, is_cyclotomic_product, mahler_measure):
+            with pytest.raises(ValueError, match=r"^deciding a cyclotomic product takes at least 40 stride passes over 962746 terms, over the work budget of 38504000 "):
+                decide(power(4345))
+
+    def test_the_work_budget_comes_after_the_exponent_budget(self, monkeypatch):
+        # over 2D passes is a proved no, whatever the work budget
+        monkeypatch.setattr(cyclojones.cyclotomic, "MAX_DECISION_WORK", 0)
+        assert _exponent_sequence([1, 0, -3, 0, 0], 2) is None
+        with pytest.raises(ValueError, match="work budget"):
+            _exponent_sequence([1, 0, -2, 0, 0], 2)
+
+    def test_degree_20400_is_decided(self):
+        # V_W(200,100): four passes over 106,357 entries
+        assert _cyclotomic_multiplicities(jones_wnk(200, 100)) == [(46, 1), (1774, 1), (40802, 1)]
+
+
+class TestDivisorWalk:
+    """The m_n are named by walking the divisors of each d with e_d != 0."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.integers(1, 600), st.integers(-4, 4).filter(bool), min_size=1, max_size=8))
+    def test_equals_the_stride_sums(self, exps):
+        seq = [exps.get(d, 0) for d in range(max(exps) + 1)]
+        reference = [(n, m) for n in range(1, len(seq)) if (m := sum(seq[n::n]))]
+        factors = _divisor_sums(exps)
+        assert factors == reference
+        # Gauss: sum_{n | d} phi(n) = d, so the degree needs no totient
+        assert sum(d * e for d, e in exps.items()) == sum(euler_totient(n) * m for n, m in factors)
+
+    def test_decision_walks_each_nonzero_d_once_and_takes_no_totient(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("the decision took a totient")
+
+        walked = []
+
+        def recording(d):
+            walked.append(d)
+            return arith_divisors(d)
+
+        monkeypatch.setattr(cyclojones.cyclotomic, "euler_totient", refuse)
+        monkeypatch.setattr(cyclojones.cyclotomic, "divisors", recording)
+        factors = _cyclotomic_multiplicities(jones_wnk(64, 32))
+        assert factors == [(14, 1), (622, 1), (4354, 1)]
+        assert sorted(walked) == sorted(d for d, e in _net_exponents(factors).items() if e)
+
+    def test_planted_sequence_of_another_degree_is_refused(self, monkeypatch):
+        # t^-8 Phi_34's e_d and e_5 = 1: every m_n >= 0, but sum d e_d = 21 != 16
+        true = cyclojones.cyclotomic._exponent_sequence
+        monkeypatch.setattr(cyclojones.cyclotomic, "_exponent_sequence", lambda s, b: {**true(s, b), 5: 1})
+        assert _cyclotomic_multiplicities(jones_wnk(4, 2)) is None
+
+    @pytest.mark.parametrize(
+        "drop, p",
+        [
+            (1, jones_wnk(4, 2)),  # t^-8 Phi_34
+            (1, jones_wnk(64, 32)),
+            (0, LaurentPoly({2: 1, 0: -1})),  # Phi_1 * Phi_2: Phi_1 goes unnamed
+        ],
+    )
+    def test_planted_dropped_divisor_raises(self, monkeypatch, drop, p):
+        # the degree check walks no divisor, so the wrong names pass the
+        # decision and exact division catches them
+        def dropping(d):
+            divs = arith_divisors(d)
+            return divs[:drop] + divs[drop + 1:]
+
+        monkeypatch.setattr(cyclojones.cyclotomic, "divisors", dropping)
+        with pytest.raises(InternalInconsistencyError, match="and exact division"):
+            is_cyclotomic_product(p)
+
+
 X = sympy.symbols("x")
 
 # sign * x^shift * prod Phi_n^m over a dict {n: m}
@@ -321,6 +430,13 @@ products = st.tuples(
     st.sampled_from([1, -1]),
     st.integers(-6, 6),
     st.dictionaries(st.integers(1, 80), st.integers(1, 3), max_size=4),
+)
+
+# the same over n <= 400 and more factors, trimmed to degree <= 600
+wide_products = st.tuples(
+    st.sampled_from([1, -1]),
+    st.integers(-50, 50),
+    st.dictionaries(st.integers(1, 400), st.integers(1, 3), max_size=8),
 )
 
 
@@ -341,6 +457,21 @@ class TestFactoringProperties:
         assert fact is not None
         assert (fact.sign, fact.monomial_shift) == (sign, shift)
         assert fact.factors == tuple(sorted(mults.items()))
+
+    @settings(max_examples=30, deadline=None)
+    @given(wide_products)
+    def test_wide_products_factor_and_measure_one(self, case):
+        # factors are kept while the degree stays <= 600
+        sign, shift, mults = case
+        kept = {}
+        for n, m in mults.items():
+            if sum(euler_totient(i) * k for i, k in kept.items()) + euler_totient(n) * m <= 600:
+                kept[n] = m
+        p = _product(sign, shift, kept)
+        fact = is_cyclotomic_product(p)
+        assert (fact.sign, fact.monomial_shift) == (sign, shift)
+        assert fact.factors == tuple(sorted(kept.items()))
+        assert mahler_measure(p) == 1.0
 
     @settings(max_examples=40, deadline=None)
     @given(products, st.integers(0, 10**6), st.integers(-2, 2))

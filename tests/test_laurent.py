@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import cyclojones.cyclotomic
 from cyclojones import laurent
-from cyclojones.cyclotomic import _cyclotomic_multiplicities, euler_totient, residue
+from cyclojones.cyclotomic import _cyclotomic_multiplicities, euler_totient, is_cyclotomic_product, residue
 from cyclojones.obstructions import special_value_check
 from cyclojones.wnk import _merged
 from cyclojones.errors import InexactDivisionError, ParseError, TagError
@@ -633,6 +633,22 @@ class TestDenseForm:
             else:
                 assert p.divide_exact(q) == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(dense_lists(), st.integers(-3, 3).filter(bool) | dense_coeffs.filter(bool), st.integers(-70, 70))
+    @example((5, [7]), -1, -5)  # a constant, from both forms
+    @example((0, [0, 0, 3, 0]), 1, -2)
+    def test_scale_keeps_the_dense_form(self, lo_coeffs, c, e):
+        p, p_sparse = both_forms(*lo_coeffs)
+        scaled, expected = p.scale(c, e), p_sparse.scale(c, e)
+        assert scaled == expected and expected == scaled
+        assert hash(scaled) == hash(expected)
+        assert scaled.items() == expected.items()
+        assert p.shift(e) == p_sparse.shift(e) and hash(p.shift(e)) == hash(p_sparse.shift(e))
+        if p:
+            assert scaled._cs is not None and not has_dict(p)
+        if expected.items() and expected.max_exp == 0 == expected.min_exp:
+            assert scaled == expected.coeff(0) and hash(scaled) == hash(expected.coeff(0))
+
     def test_readers_build_no_dict(self):
         v = _from_dense(-3, [0, 1, -1, 0, 1, -1, 1, 0])
         v.items(), len(v), bool(v), v.span(), _dense(v), _fold(v, 12)
@@ -647,6 +663,8 @@ class TestDenseForm:
         # so deciding a cyclotomic product reads the tuple only
         w = _from_dense(-2, [1, -1, 1, -1, 1])
         assert _cyclotomic_multiplicities(w) == [(10, 1)] and not has_dict(w)
+        # and factoring it makes the dict of no operand it divides
+        assert is_cyclotomic_product(w).factors == ((10, 1),) and not has_dict(w)
         assert v == _from_dense(-2, [1, -1, 0, 1, -1, 1])
 
     def test_dense_copy_is_fresh(self):
