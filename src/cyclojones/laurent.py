@@ -9,17 +9,18 @@ A-world values cannot be combined silently.
 
 Values are immutable; every operation returns a fresh polynomial.
 
-A polynomial holds its terms in one of two forms.  Whatever nonzero
-polynomial `_from_dense` builds keeps the dense form: the lowest
-exponent and the coefficient tuple with its zero ends trimmed.  Every
-other polynomial holds a sparse dict {exponent: coefficient}, so a sparse
-input of huge span stays O(terms).  A dense-built polynomial makes its
-dict only when a method that needs one first asks for it.  `items`,
+A polynomial holds its terms in one of two forms, the one it was built
+in, for life.  Whatever nonzero polynomial `_from_dense` builds keeps the
+dense form: the lowest exponent and the coefficient tuple with its zero
+ends trimmed.  Every other polynomial holds a sparse dict {exponent:
+coefficient}, so a sparse input of huge span stays O(terms).  `items`,
 `coeff`, `len`, `min_exp`, `max_exp`, the (anti)palindromic shifts,
 `value_and_derivative_at_one`, `_dense`, `_fold` and `poly_to_json` read
 the dense form directly, at C speed; `is_symmetric` reads it through
-`palindromic_shift`, and `reversed`, `scale` and `shift` keep it.  No
-dense form is ever made from a dict.  Terms merge by one rule,
+`palindromic_shift`, and `reversed`, `scale`, `shift` and negation keep
+it.  `==`, `hash`, `+`, `*`, `substitute_power` and `evaluate_complex`
+take an exponent dict from `_map`, which builds a dense form's afresh and
+stores it nowhere.  Terms merge by one rule,
 `_accumulate`, which drops every coefficient that cancels: construction,
 sums, products and wnk._merged.
 
@@ -68,9 +69,9 @@ TermsLike = Union[Mapping[int, int], Iterable[tuple[int, int]], None]
 class LaurentPoly:
     """Laurent polynomial with integer coefficients."""
 
-    # _terms is the exponent dict; a dense-built polynomial leaves it unset
-    # until __getattr__ fills it.  _cs is the trimmed coefficient tuple of
-    # a dense-built polynomial (None otherwise), _lo its lowest exponent.
+    # _terms is the exponent dict of a polynomial built from terms; a
+    # dense-built one never sets it, and holds _cs, its trimmed coefficient
+    # tuple (None otherwise), and _lo, its lowest exponent.
     __slots__ = ("_terms", "_variable", "_cs", "_lo")
 
     def __init__(self, terms: TermsLike = None, variable: str = "t"):
@@ -81,13 +82,10 @@ class LaurentPoly:
         self._variable = variable
         self._cs = None
 
-    def __getattr__(self, name: str) -> dict[int, int]:
-        # only reached for an unset slot: a dense-built polynomial's dict
-        if name != "_terms" or self._cs is None:
-            raise AttributeError(name)
+    def _map(self) -> dict[int, int]:
+        """The exponent dict: the one held, or a fresh one from the dense form."""
         cs = self._cs
-        self._terms = terms = dict(compress(zip(count(self._lo), cs), cs))
-        return terms
+        return self._terms if cs is None else dict(compress(zip(count(self._lo), cs), cs))
 
     # -- basic structure ---------------------------------------------------
 
@@ -147,13 +145,14 @@ class LaurentPoly:
             other = LaurentPoly({0: other}, self._variable)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._variable == other._variable and self._terms == other._terms
+        return self._variable == other._variable and self._map() == other._map()
 
     def __hash__(self) -> int:
         # constants equal their int, so they must hash like it
-        if self._terms.keys() <= {0}:
-            return hash(self._terms.get(0, 0))
-        return hash((self._variable, frozenset(self._terms.items())))
+        terms = self._map()
+        if terms.keys() <= {0}:
+            return hash(terms.get(0, 0))
+        return hash((self._variable, frozenset(terms.items())))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self!s}, variable={self._variable!r})"
@@ -199,12 +198,12 @@ class LaurentPoly:
 
     def __add__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
         other = self._coerce(other)
-        return self._new(_accumulate(dict(self._terms), other._terms.items()), self._variable)
+        return self._new(_accumulate(dict(self._map()), other._map().items()), self._variable)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return self._new({e: -c for e, c in self._terms.items()}, self._variable)
+        return self.scale(-1)
 
     def __sub__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
         return self + (-self._coerce(other))
@@ -216,7 +215,8 @@ class LaurentPoly:
         other = self._coerce(other)
         # iterate the smaller factor on the outside
         a, b = (self, other) if len(self) <= len(other) else (other, self)
-        terms = ((e1 + e2, c1 * c2) for e1, c1 in a._terms.items() for e2, c2 in b._terms.items())
+        outer, inner = a._map().items(), b._map().items()
+        terms = ((e1 + e2, c1 * c2) for e1, c1 in outer for e2, c2 in inner)
         return self._new(_accumulate({}, terms), self._variable)
 
     __rmul__ = __mul__
@@ -245,7 +245,7 @@ class LaurentPoly:
         variable = new_variable or self._variable
         if variable not in VARIABLES:
             raise ValueError(f"unknown variable tag {variable!r}")
-        return self._new({ei * e: ci for ei, ci in self._terms.items()}, variable)
+        return self._new({ei * e: ci for ei, ci in self._map().items()}, variable)
 
     def divide_exact(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
         """Return R with other*R == self, raising if no such R exists."""
@@ -323,7 +323,7 @@ class LaurentPoly:
         """
         if order < 1:
             raise ValueError("order must be >= 1")
-        terms = self._terms.items()
+        terms = self._map().items()
         return sum((c * cmath.exp(2j * cmath.pi * (e * j % order) / order) for e, c in terms), 0j)
 
 

@@ -123,6 +123,19 @@ def balanced_slots(x):
     return out
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: torus_jones(0, 1), "torus parameters must be >= 1"),
+        (lambda: bracket_wnk(0, -1), "k must be >= 0"),
+    ],
+    ids=["torus_jones(0, 1)", "bracket_wnk(0, -1)"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestTorusJones:
     def test_unknot(self):
         assert torus_jones(1, 2) == LaurentPoly.one()
@@ -715,6 +728,10 @@ class TestBracketWnk:
 class TestConversion:
     def test_0_1(self):
         assert bracket_to_jones(0, 1, LaurentPoly({9: -1}, "A")) == LaurentPoly.one()
+
+    def test_zero_bracket(self):
+        v = bracket_to_jones(3, 2, LaurentPoly.zero("A"))
+        assert v == LaurentPoly.zero() and v.variable == "t"
 
     def test_2_0(self):
         b = LaurentPoly({14: 1, 6: 1, 2: -1}, "A")

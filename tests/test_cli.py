@@ -1,5 +1,7 @@
 import json
+import os
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -435,6 +437,15 @@ class TestUsage:
             entry()
         assert exc.value.code == code
         assert capsys.readouterr().out == ("OK 10/10\n" if code == 0 else "")
+
+    def test_module_runs_entry(self):
+        # python -m cyclojones.cli runs entry() under __main__
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclojones.cli", "verify"], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (proc.returncode, proc.stdout) == (0, "OK 90/90\n"), proc.stderr
 
     # over-budget inputs are refused before anything is built
     @pytest.mark.parametrize(

@@ -45,6 +45,20 @@ def _squarefree_with_four_primes(n):
     return len(exponents) >= 4 and max(exponents) == 1
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: euler_totient(0), "totient needs n >= 1"),
+        (lambda: is_cyclotomic_product(LaurentPoly.zero()), "the zero polynomial is not a cyclotomic product"),
+        (lambda: phitilde_root_exponents(4), "root exponents need odd m >= 3"),
+    ],
+    ids=["euler_totient(0)", "is_cyclotomic_product(0)", "phitilde_root_exponents(4)"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestTotient:
     def test_one(self):
         assert euler_totient(1) == 1

@@ -56,6 +56,10 @@ class TestWnkSummary:
             for k in range(0, 9):
                 assert writhe_from_summary(wnk_summary(n, k)) == writhe_wnk(n, k)
 
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="^k must be >= 0$"):
+            wnk_summary(0, -1)
+
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
             ArrowRecord(2, 0)

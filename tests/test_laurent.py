@@ -1,6 +1,7 @@
 import cmath
 import gc
 import json
+import re
 import time
 import tracemalloc
 
@@ -85,6 +86,31 @@ class TestRingOps:
     @given(small_polys)
     def test_additive_inverse(self, a):
         assert a + (-a) == LaurentPoly.zero()
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("p", [V_41, _from_dense(-2, [1, -1, 1, -1, 1])], ids=["dict", "dense"])
+    @pytest.mark.parametrize(
+        "call, outcome",
+        [
+            (lambda p: LaurentPoly(p.items(), "x"), ValueError("unknown variable tag 'x'")),
+            (lambda p: p + "x", TypeError("cannot combine LaurentPoly with str")),
+            (lambda p: p.evaluate_complex(0), ValueError("order must be >= 1")),
+            (lambda p: p.__eq__("x"), NotImplemented),
+            (lambda p: p == "x", False),
+            (lambda p: list(p), V_41.items()),
+            (lambda p: 3 - p, P("-t^-2 + t^-1 + 2 + t - t^2")),
+            (lambda p: p.scale(0, 5), LaurentPoly.zero()),
+            (lambda p: LaurentPoly(p.items(), "A").scale(0, 5).variable, "A"),
+        ],
+        ids=["variable x", "p + str", "order 0", "__eq__ str", "p == str", "iter", "3 - p", "scale 0", "scale 0 keeps A"],
+    )
+    def test_checks_and_small_paths(self, p, call, outcome):
+        if isinstance(outcome, Exception):
+            with pytest.raises(type(outcome), match=f"^{re.escape(str(outcome))}$"):
+                call(p)
+        else:
+            assert call(p) == outcome
 
 
 def schoolbook(p, q):
@@ -533,12 +559,27 @@ class TestTextAndJson:
 
 
 def has_dict(p):
-    """Whether p holds its exponent dict, read without building it."""
+    """Whether p holds an exponent dict in its slot."""
     try:
         LaurentPoly._terms.__get__(p)
     except AttributeError:
         return False
     return True
+
+
+def dict_requests(p, read):
+    """How many times read() asks p for an exponent dict through LaurentPoly._map."""
+    asked = []
+    original = LaurentPoly._map
+
+    def counted(self):
+        asked.append(self is p)
+        return original(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LaurentPoly, "_map", counted)
+        read()
+    return sum(asked)
 
 
 # small coefficients, zero often, or one of many distinct ones above 2^64
@@ -620,6 +661,7 @@ class TestDenseForm:
         assert hash(p) == hash(p_sparse)
         assert (p == q) == (p_sparse == q_sparse)
         assert (p + q).items() == (p_sparse + q_sparse).items()
+        assert p.substitute_power(-4, "A") == p_sparse.substitute_power(-4, "A")
         product = p * q
         assert product.items() == (p_sparse * q_sparse).items()
         if q:
@@ -645,27 +687,63 @@ class TestDenseForm:
         assert scaled.items() == expected.items()
         assert p.shift(e) == p_sparse.shift(e) and hash(p.shift(e)) == hash(p_sparse.shift(e))
         if p:
-            assert scaled._cs is not None and not has_dict(p)
+            assert scaled._cs is not None and p.shift(e)._cs is not None
+            assert dict_requests(p, lambda: (p.scale(c, e), p.shift(e), p.reversed(), -p)) == 0
         if expected.items() and expected.max_exp == 0 == expected.min_exp:
             assert scaled == expected.coeff(0) and hash(scaled) == hash(expected.coeff(0))
 
     def test_readers_build_no_dict(self):
+        # the tuple readers never ask a dense form for an exponent dict
         v = _from_dense(-3, [0, 1, -1, 0, 1, -1, 1, 0])
-        v.items(), len(v), bool(v), v.span(), _dense(v), _fold(v, 12)
-        v.value_and_derivative_at_one(), poly_to_json(v), special_value_check(v)
-        assert not has_dict(v)
-        assert v.coeff(1) == 1 and not has_dict(v)
+
+        def read():
+            v.items(), v.coeff(1), len(v), bool(v), v.min_exp, v.max_exp, v.span(), _dense(v), _fold(v, 12)
+            v.value_and_derivative_at_one(), poly_to_json(v), special_value_check(v)
+            v.scale(-2, 3), v.shift(5), v.reversed(), -v
+
+        assert dict_requests(v, read) == 0
         # non-symmetric, symmetric, palindromic off t^0 and antipalindromic
         for p in (v, _from_dense(-2, [1, -1, 1, -1, 1]), _from_dense(3, [2, 1, 2]), _from_dense(0, [1, 0, -1])):
-            p.is_symmetric(), p.palindromic_shift(), p.antipalindromic_shift()
-            r = p.reversed()
-            assert r._cs is not None and not has_dict(r) and not has_dict(p)
+            read = lambda: (p.is_symmetric(), p.palindromic_shift(), p.antipalindromic_shift())
+            assert dict_requests(p, read) == 0
         # so deciding a cyclotomic product reads the tuple only
         w = _from_dense(-2, [1, -1, 1, -1, 1])
-        assert _cyclotomic_multiplicities(w) == [(10, 1)] and not has_dict(w)
-        # and factoring it makes the dict of no operand it divides
-        assert is_cyclotomic_product(w).factors == ((10, 1),) and not has_dict(w)
+        assert dict_requests(w, lambda: _cyclotomic_multiplicities(w)) == 0
+        # and factoring it asks no dict of the operand it divides
+        assert dict_requests(w, lambda: is_cyclotomic_product(w)) == 0
+        assert is_cyclotomic_product(w).factors == ((10, 1),)
+        # the six methods that need an order-free map ask once each
+        q = _from_dense(0, [1, 1])
+        readers = (lambda: v == q, lambda: hash(v), lambda: v + q, lambda: v * q,
+                   lambda: v.substitute_power(2), lambda: v.evaluate_complex(5))
+        assert [dict_requests(v, read) for read in readers] == [1] * 6
         assert v == _from_dense(-2, [1, -1, 0, 1, -1, 1])
+
+    def test_one_form_for_life(self):
+        # every public method leaves a dense form holding its tuple and no dict
+        v = _from_dense(-2, [1, -1, 1, -1, 1])
+        w = _from_dense(3, [1, -1, 1, -1, 1])
+        for other in (V_41, w, 2):
+            v == other, v != other, v + other, other + v, v - other, other - v, v * other, other * v
+        v.divide_exact(w), v.divide_exact(V_41), hash(v), -v, v.scale(3, 1), v.shift(2), v.reversed()
+        v.substitute_power(-4, "A"), v.evaluate_complex(7, 2), v.value_and_derivative_at_one()
+        v.is_symmetric(), v.palindromic_shift(), v.antipalindromic_shift(), v.span(), list(v)
+        v.items(), v.coeff(0), len(v), bool(v), str(v), repr(v), poly_to_json(v), {v: 1}
+        for p in (v, w):
+            assert p._cs is not None and not has_dict(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dense_lists())
+    @example((0, [0, 5, 0]))  # a constant
+    def test_negation_keeps_the_dense_form(self, lo_coeffs):
+        p, p_sparse = both_forms(*lo_coeffs)
+        negated, expected = -p, -p_sparse
+        if p:
+            assert negated._cs is not None and not has_dict(negated)
+        assert negated == expected and expected == negated
+        assert hash(negated) == hash(expected)
+        assert negated.items() == expected.items()
+        assert p - p == 0 and p + negated == 0 and -negated == p_sparse
 
     def test_dense_copy_is_fresh(self):
         p = _from_dense(-2, [1, 0, -5, 7])

@@ -17,6 +17,19 @@ from cyclojones.wnk import jones_wnk
 PAPER_CANDIDATES = [18, 26, 35, 40, 45, 46, 50, 54, 55, 56, 60]
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: special_value_check(LaurentPoly.zero()), "cannot check the zero polynomial"),
+        (lambda: excluded_phi_index(0), "index must be >= 1"),
+    ],
+    ids=["special_value_check(0)", "excluded_phi_index(0)"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestSpecialValueCheck:
     def test_unknot(self):
         report = special_value_check(LaurentPoly.one())

@@ -19,12 +19,15 @@ the change won on each metric (the direction read from CHANGE/BENCHMARK.json), t
 ops and the traced counts per round.  Per workload it also gives each
 metric's relative change of the median, (change - parent) / parent, and
 ``regressions`` lists every "workload.metric" whose median got worse by
-more than the metric's ``bound`` in CHANGE/BENCHMARK.json.
+more than the metric's ``bound`` in CHANGE/BENCHMARK.json.  ``src_lines``
+gives each side's total line count of ``src/cyclojones/*.py``, so the
+record carries the change in code size next to the change in speed.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -40,6 +43,15 @@ def run(root: str, env: dict, workload: str, seed: int, seconds: float, trace: i
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=True)
     print(f"{os.path.basename(os.path.abspath(root))}: {proc.stderr.strip()}", file=sys.stderr)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def src_lines(root: str) -> int:
+    """Total lines of the package's modules, src/cyclojones/*.py under root."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "cyclojones", "*.py")):
+        with open(path, encoding="utf-8") as f:
+            total += sum(1 for _ in f)
+    return total
 
 
 def summary(values: list[float]) -> dict:
@@ -71,6 +83,7 @@ def main(argv=None) -> int:
 
     out = {"seconds": seconds, "seeds": args.seeds,
            "python": platform.python_version(), "cpus": os.cpu_count(),
+           "src_lines": {side: src_lines(root) for side, root in sides.items()},
            "workloads": {}, "regressions": []}
     for workload in workloads:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
