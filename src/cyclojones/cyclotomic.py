@@ -6,7 +6,9 @@ products Phi~_{2m} (m odd), reduces Laurent polynomials modulo Phi_n
 polynomials that are a monomial times a product of cyclotomic
 polynomials.  The cyclotomic exponent sequence P = +-prod (1 - x^d)^e_d
 decides that question and names the factors; exact division by those
-factors alone confirms them.  The decision costs its stride passes, one
+factors alone confirms them, the largest index first.  The last decision
+is kept, so factoring a polynomial and then measuring it decide once.
+The decision costs its stride passes, one
 over the series per unit of |e_d|, and refuses past MAX_DECISION_WORK
 entries passed.  The rest is O(sum of tau(d)) over the few d with
 e_d != 0: the degree is sum d e_d, since sum_{n | d} phi(n) = d (Gauss),
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, count, islice, repeat
 from typing import Iterable, Optional
 
 from .arith import SMALL_PRIMES, divisors, factorint
@@ -229,16 +231,18 @@ def _exponent_sequence(series: list[int], budget: int) -> Optional[dict[int, int
     the factors below d are divided out, e_d is minus the x^d coefficient;
     (1 - x^d)^e_d is then divided out too, one stride pass over the series
     per unit of |e_d|, so the cost is sum |e_d| * len(series) entries.
-    Returns None as soon as sum |e_d| exceeds budget; raises ValueError
-    before a pass that would take the entries passed over MAX_DECISION_WORK.
+    Only the nonzero entries are visited, found at C speed.  Returns None
+    as soon as sum |e_d| exceeds budget; raises ValueError before a pass
+    that would take the entries passed over MAX_DECISION_WORK.
     """
     top = len(series)
     exps = {}
     used = 0
-    for d in range(1, top):
+    # islice reads the list live, and the passes for d rewrite only the
+    # entries from d on, none of which it has read past d: each entry is
+    # read after every pass for the d below it (no pass changes the length)
+    for d in compress(count(1), islice(series, 1, None)):
         e = -series[d]
-        if not e:
-            continue
         used += abs(e)
         if used > budget:
             return None
@@ -269,9 +273,15 @@ def _cyclotomic_multiplicities(p: LaurentPoly) -> Optional[list[tuple[int, int]]
     not once per n <= L.  If every m_n >= 0 and the degree is D, that
     product is a polynomial of degree D <= L agreeing with P/P(0) modulo
     x^(L+1), so the two are equal: a yes here is a theorem, not a guess.
-    A series of over MAX_TERMS terms (past degree 189,294), or a decision
+
+    The cheap exits run on every call: the reflection test, the +-1 ends,
+    and the refusal, with ValueError before P is made dense, of a series
+    of over MAX_TERMS terms (past degree 189,294).  The rest is decided
+    once per coefficient list: _decision keeps the last answer, keyed by
+    P's coefficients without its shift, so is_cyclotomic_product(P) and
+    then mahler_measure(P), or of x^a * P, share one decision.  A decision
     whose stride passes would pass over more than MAX_DECISION_WORK
-    entries, raises ValueError first.
+    entries raises ValueError, and a refusal is never kept.
     """
     if p.palindromic_shift() is None and p.antipalindromic_shift() is None:
         return None  # Phi_1 is antipalindromic and every other Phi_n palindromic
@@ -283,12 +293,27 @@ def _cyclotomic_multiplicities(p: LaurentPoly) -> Optional[list[tuple[int, int]]
     if top > MAX_TERMS:
         raise ValueError(f"deciding a cyclotomic product of degree {deg} takes a series "
                          f"of {top} terms, over the budget of {MAX_TERMS} terms")
-    series = [c * const for c in _dense(p)[1]] + [0] * (top - deg - 1)
+    # a dense form's own coefficient tuple is the key, not a copy
+    factors = _decision(p._cs or tuple(_dense(p)[1]), top)
+    return None if factors is None else list(factors)
+
+
+@lru_cache(maxsize=1)
+def _decision(coeffs: tuple[int, ...], top: int) -> Optional[tuple[tuple[int, int], ...]]:
+    """The (n, m_n) of _cyclotomic_multiplicities, or None, from P's ascending coefficients.
+
+    top is the series length, _index_bound(D) + 1.  The answer is a
+    tuple, so no caller can change the one kept.  The key tuple hashes at
+    C speed, where a LaurentPoly's hash builds a dict and a frozenset.
+    """
+    deg = len(coeffs) - 1
+    const = coeffs[0]
+    series = [c * const for c in coeffs] + [0] * (top - deg - 1)
     exps = _exponent_sequence(series, 2 * deg)
     if exps is None or sum(d * e for d, e in exps.items()) != deg:
         return None
     factors = _divisor_sums(exps)
-    return None if any(m < 0 for _, m in factors) else factors
+    return None if any(m < 0 for _, m in factors) else tuple(factors)
 
 
 def _divisor_sums(exps: dict[int, int]) -> list[tuple[int, int]]:
@@ -307,12 +332,16 @@ def is_cyclotomic_product(p: LaurentPoly) -> Optional[CyclotomicFactorization]:
     """Factor P as sign * x^a * prod Phi_n^mult, or return None.
 
     The exponent sequence decides and names the factors (see
-    _cyclotomic_multiplicities); exact division then confirms them.  Only
-    the Phi_n it names are built, and each is divided out until it no
-    longer divides, so every multiplicity returned is measured by exact
-    division and the quotient left over must be exactly 1.  An input whose
-    exponent sequence is over the term or work budget is refused with
-    ValueError.
+    _cyclotomic_multiplicities, whose decision mahler_measure then reuses);
+    exact division then confirms them.  Only the Phi_n it names are built,
+    and each is divided out until it no longer divides, so every
+    multiplicity returned is measured by exact division and the quotient
+    left over must be exactly 1.  The largest index is divided out first:
+    once the large factors are gone, a failing trial division usually
+    meets a quotient of lower degree than its Phi_n and fails with no
+    long-division step.  The factors are reported with n ascending.  An
+    input whose exponent sequence is over the term or work budget is
+    refused with ValueError.
     """
     if not p:
         raise ValueError("the zero polynomial is not a cyclotomic product")
@@ -323,7 +352,7 @@ def is_cyclotomic_product(p: LaurentPoly) -> Optional[CyclotomicFactorization]:
     sign = p.coeff(p.max_exp)
     rem = p.scale(sign, -shift)
     factors = []
-    for n, _ in expected:
+    for n, _ in reversed(expected):
         mult = 0
         while True:
             try:
@@ -332,6 +361,7 @@ def is_cyclotomic_product(p: LaurentPoly) -> Optional[CyclotomicFactorization]:
                 break
             mult += 1
         factors.append((n, mult))
+    factors.reverse()
     if factors != expected or rem != 1:
         raise InternalInconsistencyError(
             f"exponent sequence {expected} and exact division {factors} disagree"
@@ -487,8 +517,11 @@ def mahler_measure(p: LaurentPoly) -> float:
     sequence: its leading coefficient is +-1 and its roots are roots of
     unity (by Kronecker's theorem these are the only integer polynomials
     of measure 1 with P(0) != 0); an input whose decision is over the term
-    or work budget is refused with ValueError.  Any other input is measured
-    numerically, and numpy is imported there, on first use.  Up to degree
+    or work budget is refused with ValueError.  The decision is the one
+    is_cyclotomic_product takes, kept for the last coefficient list
+    decided, so measuring a V just factored (or x^a times it) decides
+    nothing again.  Any other input is measured numerically, and numpy is
+    imported there, on first use.  Up to degree
     MAX_QR_DEGREE = 75 the roots come from np.roots.  Above it they come
     from the Aberth-Ehrlich iteration of _aberth_measure, whose whole root
     set is checked against P on the unit circle; if it does not converge

@@ -36,6 +36,13 @@ from cyclojones.laurent import MAX_TERMS, LaurentPoly, _dense, parse_poly
 from cyclojones.wnk import generate_table, jones_wnk
 
 
+@pytest.fixture(autouse=True)
+def fresh_decision():
+    # the decision keeps its last answer; a test that patches what the
+    # decision reads must not meet one kept by an earlier test
+    cyclojones.cyclotomic._decision.cache_clear()
+
+
 def t_power_minus_one(n):
     return LaurentPoly({n: 1, 0: -1})
 
@@ -355,6 +362,7 @@ class TestWorkBudget:
         monkeypatch.setattr(cyclojones.cyclotomic, "MAX_DECISION_WORK", 4 * 10473)
         assert _cyclotomic_multiplicities(v) == [(14, 1), (622, 1), (4354, 1)]
         monkeypatch.setattr(cyclojones.cyclotomic, "MAX_DECISION_WORK", 4 * 10473 - 1)
+        cyclojones.cyclotomic._decision.cache_clear()  # the answer above is kept
         with pytest.raises(ValueError, match=r"^deciding a cyclotomic product takes at least 4 stride passes over 10473 terms"):
             _cyclotomic_multiplicities(v)
 
@@ -435,6 +443,107 @@ class TestDivisorWalk:
         monkeypatch.setattr(cyclojones.cyclotomic, "divisors", dropping)
         with pytest.raises(InternalInconsistencyError, match="and exact division"):
             is_cyclotomic_product(p)
+
+
+class TestDecisionMemo:
+    """The decision past the cheap exits is kept for the last coefficient list."""
+
+    @staticmethod
+    def record_sequences(monkeypatch):
+        runs = []
+        true = cyclojones.cyclotomic._exponent_sequence
+
+        def recording(series, budget):
+            runs.append(len(series))
+            return true(series, budget)
+
+        monkeypatch.setattr(cyclojones.cyclotomic, "_exponent_sequence", recording)
+        return runs
+
+    def test_factor_then_measure_decides_once(self, monkeypatch):
+        runs = self.record_sequences(monkeypatch)
+        v = jones_wnk(16, 8)
+        assert is_cyclotomic_product(v).factors == ((14, 1), (46, 1), (322, 1))
+        assert mahler_measure(v) == 1.0
+        assert len(runs) == 1
+
+    def test_a_shift_takes_the_kept_answer(self, monkeypatch):
+        runs = self.record_sequences(monkeypatch)
+        v = jones_wnk(16, 8)
+        factors = _cyclotomic_multiplicities(v)
+        assert _cyclotomic_multiplicities(v.shift(5)) == factors
+        assert is_cyclotomic_product(v.shift(5)).monomial_shift == v.min_exp + 5
+        assert len(runs) == 1
+        assert cyclojones.cyclotomic._decision.cache_info().hits == 2
+
+    def test_one_answer_is_kept(self, monkeypatch):
+        runs = self.record_sequences(monkeypatch)
+        v, w = jones_wnk(16, 8), jones_wnk(4, 2)
+        for p in (v, w, v):
+            is_cyclotomic_product(p)
+        info = cyclojones.cyclotomic._decision.cache_info()
+        assert info.maxsize == 1 and info.currsize == 1
+        assert len(runs) == 3
+
+    def test_refusals_raise_on_every_call(self, monkeypatch):
+        # a work refusal is not kept, and the series refusal of a sparse
+        # input comes before it is made dense, leaving the kept answer alone
+        v = jones_wnk(64, 32)
+        assert _cyclotomic_multiplicities(v) == [(14, 1), (622, 1), (4354, 1)]
+        monkeypatch.setattr(cyclojones.cyclotomic, "MAX_DECISION_WORK", 0)
+        w = jones_wnk(16, 8)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="over the work budget"):
+                _cyclotomic_multiplicities(w)
+
+        def refuse(p):
+            raise AssertionError("P was made dense")
+
+        monkeypatch.setattr(cyclojones.cyclotomic, "_dense", refuse)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^deciding a cyclotomic product of degree 20000000 "):
+                _cyclotomic_multiplicities(LaurentPoly({2 * 10**7: 1, 0: 1}))
+        # V is dense-built, so its kept answer is found without _dense
+        assert _cyclotomic_multiplicities(v) == [(14, 1), (622, 1), (4354, 1)]
+
+    def test_a_changed_answer_is_not_kept(self):
+        v = jones_wnk(16, 8)
+        factors = _cyclotomic_multiplicities(v)
+        factors[0] = (7, 2)
+        factors.append((99, 1))
+        assert _cyclotomic_multiplicities(v) == [(14, 1), (46, 1), (322, 1)]
+
+
+class TestLargestFirst:
+    """is_cyclotomic_product divides the named Phi_n out from the largest index down."""
+
+    def test_order_and_failing_trials(self, monkeypatch):
+        # V_W(16,8) = Phi_14 * Phi_46 * Phi_322, shifted: each factor takes one
+        # useful division and one that fails, largest first, and each failing
+        # one meets a quotient of lower degree than its Phi_n, so it fails
+        # before the long division's first step
+        calls = []
+        true = cyclojones.laurent._long_division
+
+        def recording(num, den):
+            num = list(num)
+            calls.append((len(num), len(den)))
+            return true(num, den)
+
+        monkeypatch.setattr(cyclojones.laurent, "_long_division", recording)
+        fact = is_cyclotomic_product(jones_wnk(16, 8))
+        assert fact.factors == ((14, 1), (46, 1), (322, 1))
+        degrees = [euler_totient(n) for n in (322, 46, 14)]
+        assert [den - 1 for _, den in calls] == [d for d in degrees for _ in range(2)]
+        assert all(num < den for num, den in calls[1::2])
+
+    def test_planted_exponent_sequence_raises(self, monkeypatch):
+        # t^-8 Phi_34 planted as (1 - x^16): degree 16 and every m_n >= 0, so
+        # the decision names Phi_1 Phi_2 Phi_4 Phi_8 Phi_16 and division refuses them
+        monkeypatch.setattr(cyclojones.cyclotomic, "_exponent_sequence", lambda s, b: {16: 1})
+        assert _cyclotomic_multiplicities(jones_wnk(4, 2)) == [(1, 1), (2, 1), (4, 1), (8, 1), (16, 1)]
+        with pytest.raises(InternalInconsistencyError, match=r"and exact division \[\(1, 0\), \(2, 0\), \(4, 0\), \(8, 0\), \(16, 0\)\] disagree$"):
+            is_cyclotomic_product(jones_wnk(4, 2))
 
 
 X = sympy.symbols("x")
