@@ -65,9 +65,8 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import compress, count
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InternalInconsistencyError, TagError
 from .laurent import LaurentPoly, _from_dense
@@ -176,8 +175,7 @@ def _lookup(values: dict, k: int, n: int):
         ) from None
 
 
-@dataclass(frozen=True)
-class BracketLevel:
+class BracketLevel(NamedTuple):
     """Brackets <W(n,k)> for one fixed k, over a range of n values.
 
     values[n] is the packed cell of <W(n,k)>; bracket(n) decodes it.

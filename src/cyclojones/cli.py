@@ -43,8 +43,7 @@ parser = _Parser(
     prog="cyclojones",
     description="Jones polynomials of the knot family W(n,k) and their cyclotomic structure.",
 )
-_commands = parser.add_subparsers(title="commands", dest="command", metavar="COMMAND",
-                                  required=True)
+_commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
 
 
 def _option(*flags, **kwargs):
@@ -251,10 +250,14 @@ _RANGE_OPTIONS = ("--n", "--k")
 
 
 def _joined(argv: list[str]) -> list[str]:
-    """argv with each range option and its value joined by "="."""
+    """argv with each range option and its value joined by "=".
+
+    A next word led by "--" is an option, not a value: it stays apart, so
+    argparse names the range option that has no value.
+    """
     out, i = [], 0
     while i < len(argv):
-        if argv[i] in _RANGE_OPTIONS and i + 1 < len(argv):
+        if argv[i] in _RANGE_OPTIONS and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
             out.append(f"{argv[i]}={argv[i + 1]}")
             i += 2
         else:
@@ -265,9 +268,12 @@ def _joined(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     """Run the CLI with the documented exit-code contract."""
+    argv = _joined(sys.argv[1:] if argv is None else argv)
+    # a known command is parsed by its own parser alone; the top-level parser
+    # is left to report a missing or unknown command, or to print its help
+    command = _commands.choices.get(argv[0]) if argv else None
     try:
-        args = vars(parser.parse_args(_joined(sys.argv[1:] if argv is None else argv)))
-        del args["command"]
+        args = vars(command.parse_args(argv[1:]) if command else parser.parse_args(argv))
         rv = args.pop("func")(**args)
     except _Help:
         return 0

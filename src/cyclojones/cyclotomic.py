@@ -20,10 +20,9 @@ product is exactly 1; other inputs are measured numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, islice, repeat
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .arith import SMALL_PRIMES, divisors, factorint
 from .errors import InexactDivisionError, InternalInconsistencyError, NumericError
@@ -181,8 +180,7 @@ def phi_tilde(m: int) -> LaurentPoly:
     return _from_dense(lo, alternating)
 
 
-@dataclass(frozen=True)
-class CyclotomicFactorization:
+class CyclotomicFactorization(NamedTuple):
     """P == sign * x^monomial_shift * prod Phi_d^mult over factors."""
 
     monomial_shift: int

@@ -7,21 +7,28 @@ record per arrow.  No planar embedding is stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ArrowRecord:
+class _ArrowFields(NamedTuple):
     sign: int  # +1 with the diagram orientation, -1 against it
     winding: int
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+
+class ArrowRecord(_ArrowFields):
+    __slots__ = ()
+
+    def __new__(cls, sign: int, winding: int):
+        if sign not in (1, -1):
             raise ValueError("arrow sign must be +1 or -1")
+        return super().__new__(cls, sign, winding)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, which skips __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ArrowDiagramSummary:
+class ArrowDiagramSummary(NamedTuple):
     bare_writhe: int
     arrows: tuple[ArrowRecord, ...]
 

@@ -10,9 +10,8 @@ form from a and b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import factorint, primes_below
 from .cyclotomic import _fold_residue
@@ -20,8 +19,7 @@ from .laurent import MAX_TERMS, LaurentPoly, _fold
 from .wnk import f, g
 
 
-@dataclass(frozen=True)
-class SpecialValueReport:
+class SpecialValueReport(NamedTuple):
     at_one: int
     derivative_at_one: int
     at_zeta3_is_one: bool

@@ -9,7 +9,6 @@ witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import sub
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -41,8 +40,7 @@ class Family(Enum):
     TWO_K_PLUS_1 = "n=2k+1"
 
 
-@dataclass(frozen=True)
-class SymmetryClass:
+class SymmetryClass(NamedTuple):
     family: Family
     m: Optional[int] = None  # odd index: V == phi_tilde(m) scaled to 2m
     source: Optional[str] = None  # "f(k)" or "g(k)" provenance
@@ -321,8 +319,7 @@ def polynomial_name(m: int) -> str:
     return f"Phi_tilde_{2 * m}"
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     params: FamilyParams
     classification: SymmetryClass
     polynomial: LaurentPoly

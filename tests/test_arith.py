@@ -113,7 +113,7 @@ class TestRuntimeImports:
     def test_import_loads_neither_sympy_nor_numpy(self):
         out = run_fresh(
             "import cyclojones, cyclojones.cli\n"
-            "print(sorted(m for m in ('sympy', 'numpy') if m in sys.modules))"
+            "print(sorted(m for m in ('sympy', 'numpy', 'dataclasses', 'inspect') if m in sys.modules))"
         )
         assert out == "[]"
 

@@ -345,9 +345,10 @@ class TestReadSet:
             levels, misses = [], []
 
             class Recorded(BracketLevel):
-                def __init__(self, k, values):
-                    super().__init__(k, ReadCells(values, misses))
-                    levels.append(self)
+                def __new__(cls, k, values):
+                    level = super().__new__(cls, k, ReadCells(values, misses))
+                    levels.append(level)
+                    return level
 
             monkeypatch.setattr(cyclojones.bracket, "BracketLevel", Recorded)
             assert all(ok for _, _, ok in verify_range(-a, a, 0, k_max))

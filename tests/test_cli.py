@@ -10,6 +10,7 @@ import pytest
 
 import cyclojones.bracket
 import cyclojones.wnk
+from cyclojones import cli
 from cyclojones.cli import entry, main
 from cyclojones.cyclotomic import phi_sym
 from cyclojones.laurent import LaurentPoly, parse_poly, poly_from_json
@@ -411,6 +412,9 @@ class TestUsage:
         (["classify", "--n", "-2..6"], 0, None),
         (["jones", "-n", "-4", "-k", "2"], 0, None),
         (["jones", "-n1", "-k1"], 0, None),
+        # a range option followed by another option has no value
+        (["verify", "--n", "--format", "json"], 1, "argument --n: expected one argument"),
+        (["verify", "--k", "--n", "0..2"], 1, "argument --k: expected one argument"),
         # a malformed or empty range, and an even Mersenne exponent
         (["verify", "--n", "x..3"], 1, "range bounds must be integers, got 'x..3'"),
         (["verify", "--n", "5..3"], 1, "empty range '5..3'"),
@@ -429,6 +433,35 @@ class TestUsage:
             assert out and not err
             if "--help" in argv:
                 assert out.startswith("usage: cyclojones")
+
+    # the rows that name a command: its own parser reads the rest of argv
+    COMMAND_ROWS = [(argv, code) for argv, code, _ in CONTRACT if argv and argv[0] in COMMANDS]
+
+    @pytest.mark.parametrize("argv, code", COMMAND_ROWS, ids=[" ".join(argv) for argv, _ in COMMAND_ROWS])
+    def test_command_parses_without_the_top_level_parser(self, capsys, monkeypatch, argv, code):
+        def refuse(*args):
+            raise AssertionError("the top-level parser was reached")
+
+        monkeypatch.setattr(cli.parser, "parse_args", refuse)
+        assert run(capsys, *argv)[0] == code
+
+    @pytest.mark.parametrize("argv, code", [([], 1), (["frobnicate"], 1), (["-h"], 1), (["--help"], 0)],
+                             ids=["(none)", "frobnicate", "-h", "--help"])
+    def test_no_command_reaches_the_top_level_parser(self, capsys, monkeypatch, argv, code):
+        calls = []
+        parse = cli.parser.parse_args
+        monkeypatch.setattr(cli.parser, "parse_args", lambda args: calls.append(args) or parse(args))
+        assert run(capsys, *argv)[0] == code
+        assert calls == [argv]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_is_the_top_level_parsers_text(self, capsys, command):
+        # the text the top-level parser prints when it hands --help to the command
+        with pytest.raises(cli._Help):
+            cli.parser.parse_args([command, "--help"])
+        through_top = capsys.readouterr().out
+        assert through_top.startswith(f"usage: cyclojones {command} ")
+        assert run(capsys, command, "--help") == (0, through_top, "")
 
     @pytest.mark.parametrize("argv, code", [(["--n", "-2..2", "--k", "0..1"], 0), (["--n", "x"], 1)])
     def test_entry_reads_sys_argv(self, capsys, monkeypatch, argv, code):

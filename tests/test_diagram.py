@@ -63,6 +63,8 @@ class TestWnkSummary:
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
             ArrowRecord(2, 0)
+        with pytest.raises(ValueError):
+            ArrowRecord(1, 0)._replace(sign=2)  # _replace builds through _make
 
 
 class TestJson:
